@@ -17,7 +17,7 @@ from .dualgraph import (
     stability_check,
     vertex_degree_test,
 )
-from .field import FieldConfig, default_prime, is_prime, unity_roots
+from .field import FieldConfig, default_prime, is_prime
 from .modules import (
     GeneratorMap,
     LinearSource,
@@ -31,16 +31,13 @@ from .modules import (
     graded_dims,
     make_module,
     monomial_basis,
-    scalar_action,
     source_generator_keys,
 )
 from .oracle import (
     SpinChart,
     UpstairsElement,
-    invariant_part,
     lift_element,
     lower_element,
-    oracle_product,
     oracle_product_images,
     oracle_sym_power_images,
     symbol_exponent,
@@ -58,7 +55,7 @@ from .products import (
     tier_module,
 )
 from .resolution import resolution_exact_check
-from .ring import GENERIC, LaurentElement, NodeRing, RingElement, TMode
+from .ring import GENERIC, LaurentElement, LaurentRing, NodeRing, RingElement, TMode
 from .twists import (
     TierIndex,
     TwistData,
@@ -80,6 +77,7 @@ __all__ = [
     "GENERIC",
     "GeneratorMap",
     "LaurentElement",
+    "LaurentRing",
     "LinearSource",
     "ModuleElement",
     "ModulePresentation",
@@ -108,21 +106,18 @@ __all__ = [
     "graded_dims",
     "graph_genus",
     "index_from_twist",
-    "invariant_part",
     "is_prime",
     "lift_element",
     "lower_element",
     "make_module",
     "marking_twist",
     "monomial_basis",
-    "oracle_product",
     "oracle_product_images",
     "oracle_sym_power_images",
     "power_map",
     "product_map",
     "resolution_exact_check",
     "run_all",
-    "scalar_action",
     "source_generator_keys",
     "spin_chi",
     "stability_check",
@@ -130,7 +125,6 @@ __all__ = [
     "symbol_exponent",
     "tier_module",
     "tier_twists",
-    "unity_roots",
     "vertex_degree_test",
     "__version__",
 ]

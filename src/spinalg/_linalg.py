@@ -31,8 +31,3 @@ def row_reduce(rows: list[list[int]], p: int) -> tuple[int, list[list[int]]]:
 
 def rank(rows: list[list[int]], p: int) -> int:
     return row_reduce(rows, p)[0]
-
-
-def in_span(vector: list[int], rows: list[list[int]], p: int) -> bool:
-    base = rank(rows, p)
-    return rank(rows + [vector], p) == base

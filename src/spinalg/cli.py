@@ -283,7 +283,7 @@ def _cmd_oracle(args) -> int:
     print(f"expr: {args.expr}")
     print(f"normal form: {elem}")
     chars = []
-    for mon, _c in sorted(elem.terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1], kv[0][3])):
+    for mon, _c in elem.sorted_terms():
         piece = repr(UpstairsElement(chart, {mon: 1}))
         chars.append(f"{piece}: {chart.character(mon)}")
     print("characters: " + ("; ".join(chars) if chars else "(zero)"))

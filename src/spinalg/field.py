@@ -10,11 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Smallest strong pseudoprime to all of _MR_BASES (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every modulus this package uses."""
+    """Deterministic Miller-Rabin, exact for n < _MR_LIMIT.
+
+    Larger n raise ValueError: no fixed set of bases is proven exact there.
+    """
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot certify primality of {n}: moduli must be below {_MR_LIMIT}")
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -111,7 +119,3 @@ class FieldConfig:
             return [1]
         zeta = pow(self.primitive_root(), (self.p - 1) // e, self.p)
         return sorted(pow(zeta, k, self.p) for k in range(e))
-
-
-def unity_roots(field: FieldConfig, e: int) -> list[int]:
-    return field.unity_roots(e)

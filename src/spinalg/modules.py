@@ -165,12 +165,9 @@ class ModuleElement:
         floc, gloc = self.f.localize(at), self.g.localize(at)
         if pres.is_free:
             return floc
-        field = pres.ring.field
         if at == "x":
-            shift = LaurentElement.monomial(field, "x", 1, -1, pres.j)
-            return floc + gloc * shift
-        shift = LaurentElement.monomial(field, "y", 1, -1, pres.i)
-        return gloc + floc * shift
+            return floc + gloc * floc.ring.monomial(1, -1, pres.j)
+        return gloc + floc * gloc.ring.monomial(1, -1, pres.i)
 
     def __repr__(self):
         if self.is_zero:
@@ -181,10 +178,6 @@ class ModuleElement:
         if not self.g.is_zero:
             parts.append(f"({self.g})*e2")
         return " + ".join(parts)
-
-
-def scalar_action(scalar, element: ModuleElement) -> ModuleElement:
-    return scalar * element
 
 
 # -- maps given by generator images ------------------------------------
@@ -254,9 +247,10 @@ class GeneratorMap:
         """Evaluate on module elements, one per source slot.
 
         Linear: one argument.  Tensor: (left, right), expanded
-        bilinearly.  Symmetric power m: m arguments, expanded
-        multilinearly; symmetry of the images makes the order
-        irrelevant.
+        bilinearly.  Symmetric power m: m arguments, multiplied in one
+        at a time by c'_k = c_k*f + c_(k-1)*g, where c_k is the
+        coefficient of e1^(n-k) e2^k after n arguments: O(m^2) ring
+        products.  Symmetry of the images makes the order irrelevant.
         """
         src = self.source
         if isinstance(src, LinearSource):
@@ -288,35 +282,25 @@ class GeneratorMap:
             for m in elements:
                 if m.presentation != src.module:
                     raise ValueError("argument lives off the source module")
-            if src.module.is_free:
-                coeff = src.module.ring.one()
-                for m in elements:
-                    coeff = coeff * m.f
-                return coeff * self.images[0]
+            # a free module has g = 0, so only coeffs[0] ever appears
+            ring = src.module.ring
+            coeffs = [ring.one()]
+            for m in elements:
+                nxt = [c * m.f for c in coeffs]
+                if not m.g.is_zero:
+                    nxt.append(ring.zero())
+                    for k, c in enumerate(coeffs):
+                        nxt[k + 1] = nxt[k + 1] + c * m.g
+                coeffs = nxt
             out = self.target.zero()
-            for bits in _choices(src.power):
-                coeff = src.module.ring.one()
-                k = 0
-                for m, bit in zip(elements, bits):
-                    if bit:
-                        coeff = coeff * m.g
-                        k += 1
-                    else:
-                        coeff = coeff * m.f
-                    if coeff.is_zero:
-                        break
-                if not coeff.is_zero:
-                    out = out + coeff * self.images[k]
+            for k, c in enumerate(coeffs):
+                if not c.is_zero:
+                    out = out + c * self.images[k]
             return out
         raise TypeError(f"unknown source {src!r}")
 
     def __repr__(self):
         return f"GeneratorMap({self.source!r} -> {self.target!r})"
-
-
-def _choices(n: int):
-    for mask in range(1 << n):
-        yield tuple((mask >> s) & 1 for s in range(n))
 
 
 class RelationViolation:

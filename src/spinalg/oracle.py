@@ -13,6 +13,11 @@ for any symbol exponent s with i + b*s = 0 (mod l).  Multiplying
 upstairs and re-expressing invariants downstairs recomputes every
 product and power image by a route that never touches the presentation
 formulas, which is what makes this module an oracle for them.
+
+Shared with ring.py: only the term-dictionary arithmetic of TermRing and
+TermElement (normal forms over F_p, +, -, *, **, equality, printing).
+Independent: the chart fold z*w -> t, the group character, and the lift
+and lower maps are defined here, and nothing is read from products.py.
 """
 from __future__ import annotations
 
@@ -21,17 +26,41 @@ from math import gcd
 
 from .field import FieldConfig
 from .modules import ModuleElement, ModulePresentation
+from .ring import TermElement, TermRing
 
 UpMonomial = tuple[int, int, int, int]  # (z, w, t, S) exponents; S may be negative
 
 
+class UpstairsElement(TermElement):
+    """Normal-form element of K[t][z, w, S, 1/S] / (z*w - t)."""
+
+    __slots__ = ()
+
+    # own class-body binding: perfbench/tracing.py wraps methods per class
+    __mul__ = __rmul__ = TermElement.__mul__
+
+    def invariant_part(self) -> UpstairsElement:
+        """Subsum of monomials with trivial group character."""
+        character = self.ring.character
+        return UpstairsElement(self.ring, {k: c for k, c in self.terms.items() if character(k) == 0})
+
+
 @dataclass(frozen=True)
-class SpinChart:
-    """Covering chart data: field, local index l, symbol character b."""
+class SpinChart(TermRing):
+    """Covering chart data: field, local index l, symbol character b.
+
+    As a ring it is K[t][z, w, S, 1/S] / (z*w - t); the shared term
+    arithmetic of ring.py runs on the fold defined here.
+    """
 
     field: FieldConfig
     l: int
     b: int
+
+    _element = UpstairsElement
+    _unit = (0, 0, 0, 0)
+    _names = ("z", "w", "t", "S")
+    _print_order = (2, 0, 1, 3)  # t, z, w, then S
 
     def __post_init__(self):
         if self.l < 1:
@@ -43,142 +72,21 @@ class SpinChart:
         ze, we, _te, se = mon
         return (ze - we + self.b * se) % self.l
 
-    # -- element constructors ------------------------------------------
+    def _fold(self, key) -> UpMonomial:
+        """z^a w^b t^c S^s with m = min(a, b) becomes z^(a-m) w^(b-m) t^(c+m) S^s."""
+        ze, we, te, se = key
+        if ze < 0 or we < 0 or te < 0:
+            raise ValueError("z, w, t exponents must be nonnegative")
+        m = min(ze, we)
+        return (ze - m, we - m, te + m, se)
 
-    def _normalize(self, raw) -> dict[UpMonomial, int]:
-        p = self.field.p
-        terms: dict[UpMonomial, int] = {}
-        for (ze, we, te, se), coeff in raw:
-            if ze < 0 or we < 0 or te < 0:
-                raise ValueError("z, w, t exponents must be nonnegative")
-            m = min(ze, we)
-            if m:
-                ze, we, te = ze - m, we - m, te + m
-            key = (ze, we, te, se)
-            c = (terms.get(key, 0) + coeff) % p
-            if c:
-                terms[key] = c
-            else:
-                terms.pop(key, None)
-        return terms
-
-    def from_terms(self, raw) -> UpstairsElement:
-        if hasattr(raw, "items"):
-            raw = raw.items()
-        return UpstairsElement(self, self._normalize(raw))
-
-    def zero(self) -> UpstairsElement:
-        return UpstairsElement(self, {})
-
-    def const(self, c: int) -> UpstairsElement:
-        return self.from_terms([((0, 0, 0, 0), c)])
+    def _mul_keys(self, k1: UpMonomial, k2: UpMonomial) -> UpMonomial:
+        ze, we = k1[0] + k2[0], k1[1] + k2[1]
+        m = min(ze, we)
+        return (ze - m, we - m, k1[2] + k2[2] + m, k1[3] + k2[3])
 
     def monomial(self, coeff: int = 1, z: int = 0, w: int = 0, t: int = 0, s: int = 0) -> UpstairsElement:
         return self.from_terms([((z, w, t, s), coeff)])
-
-
-class UpstairsElement:
-    """Normal-form element of K[t][z, w, S, 1/S] / (z*w - t)."""
-
-    __slots__ = ("chart", "terms")
-
-    def __init__(self, chart: SpinChart, terms: dict[UpMonomial, int]):
-        self.chart = chart
-        self.terms = terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return self.chart.const(other)
-        if isinstance(other, UpstairsElement):
-            if other.chart != self.chart:
-                raise ValueError("elements live on different charts")
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.chart.from_terms(list(self.terms.items()) + list(other.terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = self.chart.field.p
-        return UpstairsElement(self.chart, {k: (p - c) % p for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        raw = []
-        for (z1, w1, t1, s1), c1 in self.terms.items():
-            for (z2, w2, t2, s2), c2 in other.terms.items():
-                raw.append(((z1 + z2, w1 + w2, t1 + t2, s1 + s2), c1 * c2))
-        return self.chart.from_terms(raw)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = self.chart.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UpstairsElement)
-            and self.chart == other.chart
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
-
-    def invariant_part(self) -> UpstairsElement:
-        """Subsum of monomials with trivial group character."""
-        return UpstairsElement(
-            self.chart,
-            {k: c for k, c in self.terms.items() if self.chart.character(k) == 0})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        order = sorted(self.terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1], kv[0][3]))
-        for (ze, we, te, se), coeff in order:
-            bits = []
-            if te:
-                bits.append("t" if te == 1 else f"t^{te}")
-            if ze:
-                bits.append("z" if ze == 1 else f"z^{ze}")
-            if we:
-                bits.append("w" if we == 1 else f"w^{we}")
-            if se:
-                bits.append("S" if se == 1 else f"S^{se}")
-            body = "*".join(bits)
-            parts.append(body if coeff == 1 and body else (f"{coeff}*{body}" if body else str(coeff)))
-        return " + ".join(parts)
-
-
-def oracle_product(a: UpstairsElement, b: UpstairsElement) -> UpstairsElement:
-    return a * b
-
-
-def invariant_part(elem: UpstairsElement) -> UpstairsElement:
-    return elem.invariant_part()
 
 
 # -- bridges between the chart and presented modules --------------------

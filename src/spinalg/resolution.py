@@ -102,7 +102,7 @@ def resolution_exact_check(field: FieldConfig, degree_bound: int) -> bool:
                 row[len(mid) + mid_index[zm]] = 1
             if wm is not None:
                 row[mid_index[wm]] = 1
-            if any(row) and not _linalg.in_span(row, rel_rows, p):
+            if any(row) and _linalg.rank(rel_rows + [row], p) != rel_rank:
                 return False
 
         if kernel_dim != len(dom):  # exactness in the middle

@@ -9,168 +9,82 @@ literal comparison of term dictionaries.
 A monomial is keyed (x exponent, y exponent, t exponent); normal forms
 have x*y exponent product zero.  The deformation parameter t can be left
 generic or pinned to a field constant (TMode), t = 0 being the node.
+
+TermRing and TermElement are the one implementation of term-dict
+arithmetic over F_p.  NodeRing (x*y -> t^l), LaurentRing (x or y inverted,
+no fold) and the covering chart of oracle.py (z*w -> t, its own fold)
+supply only their monomial fold, variable names and print order.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+from operator import itemgetter
 
 from .field import FieldConfig
 
 Monomial = tuple[int, int, int]
 
 
-class TMode:
-    """Evaluation mode for t: generic (free variable) or a field constant."""
+class TermRing:
+    """Parent of sparse polynomials over F_p keyed by exponent tuples.
 
-    __slots__ = ("value",)
+    Subclasses have a `field` and set `_element`, `_unit` (exponents of 1),
+    `_names` and `_print_order` (positions in sort and print order).  They
+    define `_fold(key)`, which rejects invalid exponents and returns the
+    normal form, and `_mul_keys(k1, k2)`, the normal form of a product.
+    """
 
-    def __init__(self, value: int | None = None):
-        self.value = value
+    __slots__ = ()
 
-    @classmethod
-    def generic(cls) -> TMode:
-        return cls(None)
-
-    @classmethod
-    def specialized(cls, c: int) -> TMode:
-        return cls(int(c))
-
-    @property
-    def is_generic(self) -> bool:
-        return self.value is None
-
-    def __eq__(self, other):
-        return isinstance(other, TMode) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("TMode", self.value))
-
-    def __repr__(self):
-        return "TMode.generic()" if self.is_generic else f"TMode.specialized({self.value})"
-
-
-GENERIC = TMode.generic()
-
-
-class NodeRing:
-    """K[t][x, y] / (x*y - t^l) with unique mixed-monomial-free normal forms."""
-
-    __slots__ = ("field", "l")
-
-    def __init__(self, field: FieldConfig, l: int):
-        if not isinstance(l, int) or l < 1:
-            raise ValueError("node parameter l must be a positive integer")
-        self.field = field
-        self.l = l
-
-    def __eq__(self, other):
-        return isinstance(other, NodeRing) and self.field == other.field and self.l == other.l
-
-    def __hash__(self):
-        return hash((self.field, self.l))
-
-    def __repr__(self):
-        return f"NodeRing(p={self.field.p}, l={self.l})"
-
-    # -- construction -------------------------------------------------
-
-    def _normalize(self, raw) -> dict[Monomial, int]:
-        """Fold raw (monomial, coeff) pairs into the canonical term dict.
-
-        Rewrites each monomial once: x^a y^b t^c with a, b > 0 becomes
-        x^(a-m) y^(b-m) t^(c+l*m) for m = min(a, b), which already has
-        x- or y-exponent zero, so a single pass is confluent.
-        """
-        p = self.field.p
-        terms: dict[Monomial, int] = {}
-        for (xe, ye, te), coeff in raw:
-            if xe < 0 or ye < 0 or te < 0:
-                raise ValueError(f"negative exponent in monomial {(xe, ye, te)}")
-            m = min(xe, ye)
-            if m:
-                xe, ye, te = xe - m, ye - m, te + self.l * m
-            key = (xe, ye, te)
+    def from_terms(self, raw):
+        """Element from an iterable or mapping of exponent tuples to coefficients."""
+        if hasattr(raw, "items"):
+            raw = raw.items()
+        fold, p = self._fold, self.field.p
+        terms = {}
+        for key, coeff in raw:
+            key = fold(key)
             c = (terms.get(key, 0) + coeff) % p
             if c:
                 terms[key] = c
             else:
                 terms.pop(key, None)
-        return terms
+        return self._element(self, terms)
 
-    def from_terms(self, raw) -> RingElement:
-        """Element from an iterable or mapping of (x, y, t) exponents to coefficients."""
-        if hasattr(raw, "items"):
-            raw = raw.items()
-        return RingElement(self, self._normalize(raw))
+    def zero(self):
+        return self._element(self, {})
 
-    def zero(self) -> RingElement:
-        return RingElement(self, {})
+    def const(self, c: int):
+        c %= self.field.p
+        return self._element(self, {self._unit: c} if c else {})
 
-    def const(self, c: int) -> RingElement:
-        return self.from_terms([((0, 0, 0), c)])
-
-    def one(self) -> RingElement:
+    def one(self):
         return self.const(1)
 
-    def monomial(self, coeff: int = 1, x: int = 0, y: int = 0, t: int = 0) -> RingElement:
-        return self.from_terms([((x, y, t), coeff)])
 
-    def t(self, exp: int = 1) -> RingElement:
-        return self.monomial(t=exp)
-
-    def x(self, exp: int = 1) -> RingElement:
-        return self.monomial(x=exp)
-
-    def y(self, exp: int = 1) -> RingElement:
-        return self.monomial(y=exp)
-
-
-def _mono_str(key: Monomial, coeff: int) -> str:
-    xe, ye, te = key
-    parts = []
-    if te:
-        parts.append("t" if te == 1 else f"t^{te}")
-    if xe:
-        parts.append("x" if xe == 1 else f"x^{xe}")
-    if ye:
-        parts.append("y" if ye == 1 else f"y^{ye}")
-    if not parts:
-        return str(coeff)
-    body = "*".join(parts)
-    return body if coeff == 1 else f"{coeff}*{body}"
-
-
-class RingElement:
-    """Normal-form element of a NodeRing.  Treat as immutable."""
+class TermElement:
+    """Normal-form element of a TermRing.  Treat as immutable."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: NodeRing, terms: dict[Monomial, int]):
+    def __init__(self, ring: TermRing, terms: dict):
         self.ring = ring
         self.terms = terms
-
-    # -- queries ------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, x: int = 0, y: int = 0, t: int = 0) -> int:
-        return self.terms.get((x, y, t), 0)
-
-    def xy_degree(self) -> int:
-        """Largest x- or y-exponent across terms (used for degree filtrations)."""
-        return max((xe + ye for (xe, ye, _te) in self.terms), default=0)
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms ordered by t-degree, then x-degree, then y-degree."""
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
-
-    # -- arithmetic ---------------------------------------------------
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
+        """Terms in the ring's print order."""
+        order = itemgetter(*self.ring._print_order)
+        return sorted(self.terms.items(), key=lambda kv: order(kv[0]))
 
     def _coerce(self, other):
         if isinstance(other, int):
             return self.ring.const(other)
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
+        if isinstance(other, TermElement):
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("elements live in different rings")
             return other
         return None
@@ -179,14 +93,21 @@ class RingElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        raw = list(self.terms.items()) + list(other.terms.items())
-        return self.ring.from_terms(raw)
+        p = self.ring.field.p
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            c = (terms.get(key, 0) + c) % p
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+        return type(self)(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.ring.field.p
-        return RingElement(self.ring, {k: (p - c) % p for k, c in self.terms.items()})
+        return type(self)(self.ring, {k: p - c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -201,14 +122,28 @@ class RingElement:
         return other + (-self)
 
     def __mul__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        raw = []
-        for (x1, y1, t1), c1 in self.terms.items():
-            for (x2, y2, t2), c2 in coerced.terms.items():
-                raw.append(((x1 + x2, y1 + y2, t1 + t2), c1 * c2))
-        return self.ring.from_terms(raw)
+        ring = self.ring
+        p = ring.field.p
+        mul_keys = ring._mul_keys
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            ((k1, c1),) = self.terms.items()
+            ((k2, c2),) = other.terms.items()
+            c = c1 * c2 % p
+            return type(self)(ring, {mul_keys(k1, k2): c} if c else {})
+        terms = {}
+        get = terms.get
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = mul_keys(k1, k2)
+                c = (get(key, 0) + c1 * c2) % p
+                if c:
+                    terms[key] = c
+                else:  # c1 * c2 is a unit mod p, so the key was already present
+                    del terms[key]
+        return type(self)(ring, terms)
 
     __rmul__ = __mul__
 
@@ -220,23 +155,77 @@ class RingElement:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.ring.const(other)
         return (
-            isinstance(other, RingElement)
-            and self.ring == other.ring
+            isinstance(other, TermElement)
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.terms == other.terms
         )
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    # -- evaluation ---------------------------------------------------
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        names, order = self.ring._names, self.ring._print_order
+        parts = []
+        for key, coeff in self.sorted_terms():
+            body = "*".join(names[i] if key[i] == 1 else f"{names[i]}^{key[i]}"
+                            for i in order if key[i])
+            if not body:
+                parts.append(str(coeff))
+            else:
+                parts.append(body if coeff == 1 else f"{coeff}*{body}")
+        return " + ".join(parts)
+
+
+@dataclass(frozen=True)
+class TMode:
+    """Evaluation mode for t: generic (free variable) or a field constant."""
+
+    value: int | None = None
+
+    @classmethod
+    def generic(cls) -> TMode:
+        return cls(None)
+
+    @classmethod
+    def specialized(cls, c: int) -> TMode:
+        return cls(int(c))
+
+    @property
+    def is_generic(self) -> bool:
+        return self.value is None
+
+    def __repr__(self):
+        return "TMode.generic()" if self.is_generic else f"TMode.specialized({self.value})"
+
+
+GENERIC = TMode.generic()
+
+
+class RingElement(TermElement):
+    """Normal-form element of a NodeRing.  Treat as immutable."""
+
+    __slots__ = ()
+
+    # own class-body binding: perfbench/tracing.py wraps methods per class
+    __mul__ = __rmul__ = TermElement.__mul__
+
+    def coefficient(self, x: int = 0, y: int = 0, t: int = 0) -> int:
+        return self.terms.get((x, y, t), 0)
+
+    def xy_degree(self) -> int:
+        """Largest x- or y-exponent across terms (used for degree filtrations)."""
+        return max((xe + ye for (xe, ye, _te) in self.terms), default=0)
 
     def specialize(self, mode: TMode) -> RingElement:
         """Substitute t by the mode's constant; generic mode is the identity."""
@@ -255,83 +244,68 @@ class RingElement:
         if at not in ("x", "y"):
             raise ValueError("localization variable must be 'x' or 'y'")
         l = self.ring.l
-        terms: dict[tuple[int, int], int] = {}
-        for (xe, ye, te), coeff in self.terms.items():
-            if at == "x":
-                key = (xe - ye, te + l * ye)
-            else:
-                key = (ye - xe, te + l * xe)
-            c = (terms.get(key, 0) + coeff) % self.ring.field.p
-            if c:
-                terms[key] = c
-            else:
-                terms.pop(key, None)
-        return LaurentElement(self.ring.field, at, terms)
+        if at == "x":
+            raw = [((xe - ye, te + l * ye), c) for (xe, ye, te), c in self.terms.items()]
+        else:
+            raw = [((ye - xe, te + l * xe), c) for (xe, ye, te), c in self.terms.items()]
+        return LaurentRing(self.ring.field, at).from_terms(raw)
+
+
+@dataclass(frozen=True)
+class NodeRing(TermRing):
+    """K[t][x, y] / (x*y - t^l) with unique mixed-monomial-free normal forms."""
+
+    field: FieldConfig
+    l: int
+
+    _element = RingElement
+    _unit = (0, 0, 0)
+    _names = ("x", "y", "t")
+    _print_order = (2, 0, 1)  # t-degree, then x-degree, then y-degree
+
+    def __post_init__(self):
+        if not isinstance(self.l, int) or self.l < 1:
+            raise ValueError("node parameter l must be a positive integer")
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(_mono_str(k, c) for k, c in self.sorted_terms())
+        return f"NodeRing(p={self.field.p}, l={self.l})"
+
+    # own class-body binding: perfbench/tracing.py wraps methods per class
+    from_terms = TermRing.from_terms
+
+    def _fold(self, key) -> Monomial:
+        """x^a y^b t^c with m = min(a, b) becomes x^(a-m) y^(b-m) t^(c+l*m).
+
+        The result already has x- or y-exponent zero, so one pass is confluent.
+        """
+        xe, ye, te = key
+        if xe < 0 or ye < 0 or te < 0:
+            raise ValueError(f"negative exponent in monomial {(xe, ye, te)}")
+        m = xe if xe < ye else ye
+        return (xe - m, ye - m, te + self.l * m)
+
+    def _mul_keys(self, k1: Monomial, k2: Monomial) -> Monomial:
+        xe, ye = k1[0] + k2[0], k1[1] + k2[1]
+        m = xe if xe < ye else ye
+        return (xe - m, ye - m, k1[2] + k2[2] + self.l * m)
+
+    def monomial(self, coeff: int = 1, x: int = 0, y: int = 0, t: int = 0) -> RingElement:
+        return self.from_terms([((x, y, t), coeff)])
+
+    def t(self, exp: int = 1) -> RingElement:
+        return self.monomial(t=exp)
+
+    def x(self, exp: int = 1) -> RingElement:
+        return self.monomial(x=exp)
+
+    def y(self, exp: int = 1) -> RingElement:
+        return self.monomial(y=exp)
 
 
-class LaurentElement:
-    """Element of K[t][v, 1/v], the node ring with x or y made a unit."""
+class LaurentElement(TermElement):
+    """Element of K[t][v, 1/v], keyed (v exponent, t exponent)."""
 
-    __slots__ = ("field", "var", "terms")
-
-    def __init__(self, field: FieldConfig, var: str, terms: dict[tuple[int, int], int]):
-        self.field = field
-        self.var = var
-        self.terms = {k: c % field.p for k, c in terms.items() if c % field.p}
-
-    @classmethod
-    def monomial(cls, field: FieldConfig, var: str, coeff: int = 1,
-                 vexp: int = 0, texp: int = 0) -> LaurentElement:
-        if texp < 0:
-            raise ValueError("t exponent must stay nonnegative")
-        return cls(field, var, {(vexp, texp): coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: LaurentElement):
-        if self.field != other.field or self.var != other.var:
-            raise ValueError("localized elements live in different rings")
-
-    def __add__(self, other: LaurentElement):
-        self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return LaurentElement(self.field, self.var, terms)
-
-    def __neg__(self):
-        return LaurentElement(self.field, self.var,
-                              {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: LaurentElement):
-        self._check(other)
-        terms: dict[tuple[int, int], int] = {}
-        for (v1, t1), c1 in self.terms.items():
-            for (v2, t2), c2 in other.terms.items():
-                k = (v1 + v2, t1 + t2)
-                terms[k] = terms.get(k, 0) + c1 * c2
-        return LaurentElement(self.field, self.var, terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentElement)
-            and self.field == other.field
-            and self.var == other.var
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.var, frozenset(self.terms.items())))
+    __slots__ = ()
 
     def as_unit_monomial(self) -> tuple[int, int] | None:
         """(coeff, v-exponent) when the element is c * v^k, else None.
@@ -346,19 +320,30 @@ class LaurentElement:
             return None
         return coeff, vexp
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (vexp, texp), coeff in sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            bits = []
-            if texp:
-                bits.append("t" if texp == 1 else f"t^{texp}")
-            if vexp:
-                bits.append(self.var if vexp == 1 else f"{self.var}^{vexp}")
-            body = "*".join(bits)
-            if not body:
-                parts.append(str(coeff))
-            else:
-                parts.append(body if coeff == 1 else f"{coeff}*{body}")
-        return " + ".join(parts)
+
+@dataclass(frozen=True)
+class LaurentRing(TermRing):
+    """K[t][v, 1/v], the node ring with v = x or v = y made a unit."""
+
+    field: FieldConfig
+    var: str
+
+    _element = LaurentElement
+    _unit = (0, 0)
+    _print_order = (1, 0)  # t-degree, then v-degree
+
+    @property
+    def _names(self) -> tuple[str, str]:
+        return (self.var, "t")
+
+    def _fold(self, key) -> tuple[int, int]:
+        vexp, texp = key
+        if texp < 0:
+            raise ValueError("t exponent must stay nonnegative")
+        return (vexp, texp)
+
+    def _mul_keys(self, k1, k2) -> tuple[int, int]:
+        return (k1[0] + k2[0], k1[1] + k2[1])
+
+    def monomial(self, coeff: int = 1, vexp: int = 0, texp: int = 0) -> LaurentElement:
+        return self.from_terms([((vexp, texp), coeff)])

@@ -40,7 +40,7 @@ from .products import (
     tier_module,
 )
 from .resolution import resolution_exact_check
-from .ring import LaurentElement, NodeRing, TMode
+from .ring import LaurentRing, NodeRing, TMode
 
 
 @dataclass
@@ -334,7 +334,7 @@ def suite_localized(max_l: int = 10) -> SuiteResult:
                         cases += 1
                         failures.append(f"l={l} {a!r}x{b!r}: unit exponent at {var} is not a nonnegative integer")
                         continue
-                    unit = LaurentElement.monomial(ring.field, var, 1, overflow, 0)
+                    unit = LaurentRing(ring.field, var).monomial(1, overflow, 0)
                     for ka in a.generator_keys:
                         for kb in b.generator_keys:
                             cases += 1

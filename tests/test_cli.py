@@ -95,6 +95,16 @@ def test_local_model_validates_divisibility(capsys):
     assert "must divide" in err
 
 
+@pytest.mark.parametrize("p", ["318665857834031151167461", "3317044064679887385961981"])
+def test_local_model_rejects_pseudoprime_and_uncertified_moduli(capsys, p):
+    # a strong pseudoprime to bases 2..37, then the first modulus past the proven bound
+    code, out, err = run(capsys, "local-model", "--r", "2", "--l", "2", "--i", "1", "--p", p)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("spinalg: error:")
+
+
 def test_oracle_report(capsys):
     code, out, _ = run(capsys, "oracle", "--l", "2", "--p", "5", "--expr", "z*w + S**2")
     assert code == 0

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from spinalg.field import FieldConfig, default_prime, is_prime, unity_roots
+from spinalg.field import FieldConfig, default_prime, is_prime
 
 
 def test_is_prime_small():
@@ -11,6 +11,27 @@ def test_is_prime_small():
     assert not is_prime(0)
     assert not is_prime(1)
     assert not is_prime(561)  # Carmichael number
+
+
+# Strong pseudoprime to every prime base 2..37 (Sorenson-Webster, Math. Comp. 2017).
+PSI_12 = 318665857834031151167461
+# Smallest strong pseudoprime to every prime base 2..41; is_prime refuses n >= PSI_13.
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_twelve_base_pseudoprime():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    with pytest.raises(ValueError):
+        FieldConfig(PSI_12, 2)
+
+
+def test_is_prime_bound():
+    assert is_prime(PSI_13 - 168)  # a prime just below the bound
+    assert not is_prime(PSI_13 - 1)
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="cannot certify"):
+            is_prime(n)
 
 
 def test_default_prime_is_one_mod_r():
@@ -56,7 +77,7 @@ def test_unity_roots_frozen():
     assert f5.unity_roots(4) == [1, 2, 3, 4]
     f7 = FieldConfig(7, 3)
     assert f7.unity_roots(3) == [1, 2, 4]
-    assert unity_roots(f7, 1) == [1]
+    assert f7.unity_roots(1) == [1]
     with pytest.raises(ValueError):
         f7.unity_roots(2)  # 2 does not divide r=3
 

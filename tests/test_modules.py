@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from spinalg.field import FieldConfig
@@ -135,6 +138,44 @@ def test_apply_is_multilinear():
     w = b.element(r4.const(2), r4.y())
     assert gm.apply(u1 + u2, w) == gm.apply(u1, w) + gm.apply(u2, w)
     assert gm.apply(r4.t() * u1, w) == r4.t() * gm.apply(u1, w)
+
+
+def expanded_sym_apply(gmap: GeneratorMap, elements):
+    """Reference Sym^m apply: all 2^m terms of the multilinear expansion."""
+    out = gmap.target.zero()
+    for bits in itertools.product((0, 1), repeat=len(elements)):
+        coeff = gmap.source.module.ring.one()
+        for elem, bit in zip(elements, bits):
+            coeff = coeff * (elem.g if bit else elem.f)
+        if not coeff.is_zero:
+            out = out + coeff * gmap.images[sum(bits)]
+    return out
+
+
+def random_coefficient(rng: random.Random, r: NodeRing):
+    return r.from_terms([((rng.randrange(3), rng.randrange(3), rng.randrange(3)), rng.randrange(1, 97))
+                         for _ in range(rng.randrange(1, 4))])
+
+
+def random_element(rng: random.Random, pres):
+    """Module element with nonzero f and, off the free module, nonzero g."""
+    while True:
+        elem = pres.element(random_coefficient(rng, pres.ring), random_coefficient(rng, pres.ring))
+        if not elem.f.is_zero and (pres.is_free or not elem.g.is_zero):
+            return elem
+
+
+def test_sym_apply_matches_expansion():
+    rng = random.Random(20170)
+    for l in (1, 2, 3, 4):
+        r = ring(l)
+        mods = [make_module(r, 0, 0)] + [make_module(r, i, l - i) for i in range(1, l)]
+        for pres in mods:
+            for m in range(1, 7):
+                gm = sym_power_map(pres, m)
+                for _ in range(2):
+                    args = [random_element(rng, pres) for _ in range(m)]
+                    assert gm.apply(*args) == expanded_sym_apply(gm, args)
 
 
 def test_monomial_basis_shape():

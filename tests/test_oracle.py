@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinalg.field import FieldConfig
 from spinalg.modules import make_module
@@ -48,6 +49,34 @@ def test_invariant_part():
     mixed = c.monomial(z=2) + c.monomial(z=1) + c.monomial(s=2) + c.monomial(z=1, s=1)
     inv = mixed.invariant_part()
     assert inv == c.monomial(z=2) + c.monomial(s=2) + c.monomial(z=1, s=1)
+
+
+up_coeffs = st.integers(min_value=-10, max_value=10)
+up_exps = st.integers(min_value=0, max_value=4)
+up_monos = st.tuples(up_exps, up_exps, up_exps, st.integers(min_value=-3, max_value=3), up_coeffs)
+up_polys = st.lists(up_monos, min_size=0, max_size=5)
+
+
+def build(c: SpinChart, data):
+    return c.from_terms([((ze, we, te, se), k) for ze, we, te, se, k in data])
+
+
+@given(up_polys, up_polys, up_polys, st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_chart_ring_laws_random(da, db, dc, l, n):
+    c = chart(l)
+    a, b, d = build(c, da), build(c, db), build(c, dc)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + d == a + (b + d)
+    assert (a * b) * d == a * (b * d)
+    assert a * (b + d) == a * b + a * d
+    assert a - a == c.zero()
+    power = c.const(1)
+    for _ in range(n):
+        power = power * a
+    assert a ** n == power
 
 
 def test_symbol_exponent():
