@@ -25,6 +25,39 @@ from .field import FieldConfig
 Monomial = tuple[int, int, int]
 
 
+class TMode:
+    """Evaluation mode for t: generic (free variable) or a field constant."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int | None = None):
+        self.value = value
+
+    @classmethod
+    def generic(cls) -> TMode:
+        return cls(None)
+
+    @classmethod
+    def specialized(cls, c: int) -> TMode:
+        return cls(int(c))
+
+    @property
+    def is_generic(self) -> bool:
+        return self.value is None
+
+    def __eq__(self, other):
+        return isinstance(other, TMode) and self.value == other.value
+
+    def __hash__(self):
+        return hash(("TMode", self.value))
+
+    def __repr__(self):
+        return "TMode.generic()" if self.is_generic else f"TMode.specialized({self.value})"
+
+
+GENERIC = TMode.generic()
+
+
 class TermRing:
     """Parent of sparse polynomials over F_p keyed by exponent tuples.
 
@@ -128,11 +161,6 @@ class TermElement:
         ring = self.ring
         p = ring.field.p
         mul_keys = ring._mul_keys
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            ((k1, c1),) = self.terms.items()
-            ((k2, c2),) = other.terms.items()
-            c = c1 * c2 % p
-            return type(self)(ring, {mul_keys(k1, k2): c} if c else {})
         terms = {}
         get = terms.get
         for k1, c1 in self.terms.items():
@@ -170,7 +198,13 @@ class TermElement:
         )
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        # a constant equals its int (see __eq__), so it must hash like it
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and self.ring._unit in terms:
+            return hash(terms[self.ring._unit])
+        return hash((self.ring, frozenset(terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -185,31 +219,6 @@ class TermElement:
             else:
                 parts.append(body if coeff == 1 else f"{coeff}*{body}")
         return " + ".join(parts)
-
-
-@dataclass(frozen=True)
-class TMode:
-    """Evaluation mode for t: generic (free variable) or a field constant."""
-
-    value: int | None = None
-
-    @classmethod
-    def generic(cls) -> TMode:
-        return cls(None)
-
-    @classmethod
-    def specialized(cls, c: int) -> TMode:
-        return cls(int(c))
-
-    @property
-    def is_generic(self) -> bool:
-        return self.value is None
-
-    def __repr__(self):
-        return "TMode.generic()" if self.is_generic else f"TMode.specialized({self.value})"
-
-
-GENERIC = TMode.generic()
 
 
 class RingElement(TermElement):

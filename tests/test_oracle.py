@@ -51,6 +51,11 @@ def test_invariant_part():
     assert inv == c.monomial(z=2) + c.monomial(s=2) + c.monomial(z=1, s=1)
 
 
+def test_chart_constants_hash_like_ints():
+    c = chart(3)
+    assert c.const(3) == 3 and 3 in {c.const(3)} and 0 in {c.zero()}
+
+
 up_coeffs = st.integers(min_value=-10, max_value=10)
 up_exps = st.integers(min_value=0, max_value=4)
 up_monos = st.tuples(up_exps, up_exps, up_exps, st.integers(min_value=-3, max_value=3), up_coeffs)
