@@ -31,7 +31,6 @@ from .modules import (
     graded_dims,
     make_module,
     monomial_basis,
-    source_generator_keys,
 )
 from .oracle import (
     SpinChart,
@@ -64,12 +63,11 @@ from .twists import (
     marking_twist,
     tier_twists,
 )
-from .verify import ALL_SUITES, SuiteResult, run_all
+from .verify import SuiteResult, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_SUITES",
     "AlgebraWindow",
     "AutomorphismGroup",
     "DualGraph",
@@ -118,7 +116,6 @@ __all__ = [
     "product_map",
     "resolution_exact_check",
     "run_all",
-    "source_generator_keys",
     "spin_chi",
     "stability_check",
     "sym_power_map",

@@ -64,11 +64,11 @@ def _type_lines(m: tuple[int, ...]) -> str:
 
 def _cmd_chi(args) -> int:
     m = tuple(args.m)
+    value = spin_chi(args.g, args.n, args.r, m)
     print(REPORT_TAG)
     print("command: chi")
     print(f"g: {args.g}  n: {args.n}  r: {args.r}")
     print(_type_lines(m))
-    value = spin_chi(args.g, args.n, args.r, m)
     if value is None:
         numerator = 2 * args.g - 2 + args.n - sum(m)
         print(f"chi = non-integral ({args.r} does not divide {numerator})")
@@ -80,28 +80,62 @@ def _cmd_chi(args) -> int:
 # -- strata ---------------------------------------------------------------
 
 
+def _integer(value, name: str) -> int:
+    """value itself if it is an integer; JSON true and false are not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _vertex_id(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a vertex id string, got {value!r}")
+    return value
+
+
+def _array(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _fields(entry, name: str, keys: tuple[str, ...]) -> tuple:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    for k in keys:
+        if k not in entry:
+            raise ValueError(f"{name} is missing {k!r}")
+    return tuple(entry[k] for k in keys)
+
+
 def parse_graph_document(doc: dict) -> tuple[DualGraph, int, tuple[int, ...], int | None]:
     """Validate a graph JSON document; returns (graph, r, m, field_prime)."""
-    if not isinstance(doc, dict):
-        raise ValueError("graph document must be a JSON object")
-    for k in ("r", "m", "vertices", "edges", "legs"):
-        if k not in doc:
-            raise ValueError(f"graph document is missing {k!r}")
-    r = doc["r"]
-    if not isinstance(r, int) or r < 1:
+    r, m, vertex_entries, edge_entries, leg_entries = _fields(
+        doc, "graph document", ("r", "m", "vertices", "edges", "legs"))
+    if _integer(r, "r") < 1:
         raise ValueError("r must be a positive integer")
-    m = tuple(doc["m"])
-    if not all(isinstance(k, int) for k in m):
-        raise ValueError("type entries must be integers")
-    vertices = tuple((v["id"], v["genus"]) for v in doc["vertices"])
-    edges = tuple((a, b) for a, b in doc["edges"])
-    legs = tuple((leg["vertex"], leg["marking"]) for leg in doc["legs"])
-    graph = DualGraph(vertices, edges, legs)
+    m = tuple(_integer(k, f"m[{n}]") for n, k in enumerate(_array(m, "m")))
+    vertices = []
+    for n, entry in enumerate(_array(vertex_entries, "vertices")):
+        vid, genus = _fields(entry, f"vertices[{n}]", ("id", "genus"))
+        vertices.append((_vertex_id(vid, f"vertices[{n}].id"),
+                         _integer(genus, f"vertices[{n}].genus")))
+    edges = []
+    for n, edge in enumerate(_array(edge_entries, "edges")):
+        if len(_array(edge, f"edges[{n}]")) != 2:
+            raise ValueError(f"edges[{n}] must be a pair of vertex ids, got {edge!r}")
+        edges.append(tuple(_vertex_id(v, f"edges[{n}]") for v in edge))
+    legs = []
+    for n, entry in enumerate(_array(leg_entries, "legs")):
+        vid, marking = _fields(entry, f"legs[{n}]", ("vertex", "marking"))
+        legs.append((_vertex_id(vid, f"legs[{n}].vertex"),
+                     _integer(marking, f"legs[{n}].marking")))
+    graph = DualGraph(tuple(vertices), tuple(edges), tuple(legs))
     if len(m) != graph.n_markings:
         raise ValueError(f"type has {len(m)} entries for {graph.n_markings} legs")
     prime = doc.get("field_prime")
     if prime is not None:
-        FieldConfig.for_level(r, prime)  # validates p = 1 (mod r)
+        FieldConfig.for_level(r, _integer(prime, "field_prime"))  # validates p = 1 (mod r)
     return graph, r, m, prime
 
 
@@ -124,6 +158,8 @@ def _cmd_strata(args) -> int:
     with open(args.graph, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     graph, r, m, prime = parse_graph_document(doc)
+    # raises on an unstable graph, before any report line is printed
+    assignments = enumerate_assignments(graph, r, m)
     g = graph_genus(graph)
     n = graph.n_markings
     print(REPORT_TAG)
@@ -138,7 +174,6 @@ def _cmd_strata(args) -> int:
     chi = spin_chi(g, n, r, m)
     print(f"chi = {'non-integral' if chi is None else chi}")
     print(f"dimension (all nodes balanced): {deformation_dimension(g, n)}")
-    assignments = enumerate_assignments(graph, r, m)
     print(f"assignments: {len(assignments)}")
     for idx, asg in enumerate(assignments, start=1):
         legs = " ".join(str(index_from_twist(k, r)) for k in asg.leg_twists)
@@ -160,6 +195,9 @@ def _module_line(pres) -> str:
 
 
 def _cmd_local_model(args) -> int:
+    for flag in ("r", "l"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag} must be a positive integer, got {getattr(args, flag)}")
     if args.r % args.l != 0:
         raise ValueError(f"l={args.l} must divide r={args.r}")
     field = _field(args.r, args.p)

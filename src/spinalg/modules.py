@@ -13,9 +13,12 @@ e1 and g = 0).  The presentation relations rewrite any stray monomial:
 and one pass suffices because the moved monomials are already clean.
 
 Maps out of modules, tensor products, and symmetric powers are recorded
-by generator images (GeneratorMap); check_well_defined pushes every
-presentation relation through the images and reports the first nonzero
-defect.
+by generator images (GeneratorMap).  Each source kind (LinearSource,
+TensorSource, SymPowerSource) owns its generator keys, the coefficients
+of its arguments on those keys, and its relations as combinations of
+keys; GeneratorMap.apply sums coefficient * image, and
+check_well_defined pushes every relation through the images and reports
+the first nonzero defect, without either knowing the source kind.
 """
 from __future__ import annotations
 
@@ -183,19 +186,70 @@ class ModuleElement:
 # -- maps given by generator images ------------------------------------
 
 
+# Source kinds: coefficients(*elements) gives (key, coefficient) pairs and
+# relations() gives (description, ((coefficient, key), ...)) pairs.
+
+
 @dataclass(frozen=True)
 class LinearSource:
+    """A module itself: keys 1, 2 (the free module has key 1 only)."""
+
     module: ModulePresentation
+
+    @property
+    def keys(self) -> tuple[int, ...]:
+        return self.module.generator_keys
+
+    def coefficients(self, *elements: ModuleElement):
+        (m,) = elements
+        if m.presentation != self.module:
+            raise ValueError("argument lives off the source module")
+        return tuple(zip(self.module.generator_keys, (m.f, m.g)))
+
+    def relations(self):
+        return tuple((f"relation {ridx}", rel) for ridx, rel in enumerate(self.module.relations()))
 
 
 @dataclass(frozen=True)
 class TensorSource:
+    """left (x) right: keys are pairs (a, b) of factor keys, expanded bilinearly."""
+
     left: ModulePresentation
     right: ModulePresentation
+
+    @property
+    def keys(self) -> tuple[tuple[int, int], ...]:
+        return tuple((a, b) for a in self.left.generator_keys for b in self.right.generator_keys)
+
+    def coefficients(self, *elements: ModuleElement):
+        a, b = elements
+        if a.presentation != self.left or b.presentation != self.right:
+            raise ValueError("arguments live off the source modules")
+        # only nonzero factors are multiplied
+        ca = [(k, c) for k, c in zip(self.left.generator_keys, (a.f, a.g)) if not c.is_zero]
+        cb = [(k, c) for k, c in zip(self.right.generator_keys, (b.f, b.g)) if not c.is_zero]
+        return [((ka, kb), fa * fb) for ka, fa in ca for kb, fb in cb]
+
+    def relations(self):
+        left = tuple((f"left relation {ridx} x gen {kb}", tuple((c, (k, kb)) for c, k in rel))
+                     for ridx, rel in enumerate(self.left.relations())
+                     for kb in self.right.generator_keys)
+        right = tuple((f"gen {ka} x right relation {ridx}", tuple((c, (ka, k)) for c, k in rel))
+                      for ka in self.left.generator_keys
+                      for ridx, rel in enumerate(self.right.relations()))
+        return left + right
 
 
 @dataclass(frozen=True)
 class SymPowerSource:
+    """Sym^m: key k = 0..m counts the e2 factors in e1^(m-k) e2^k (free module: key 0).
+
+    The m arguments are multiplied in one at a time by
+    c'_k = c_k*f + c_(k-1)*g, where c_k is the coefficient of
+    e1^(n-k) e2^k after n arguments: O(m^2) ring products.  Relations are
+    each module relation times every degree-(m-1) generator monomial.
+    """
+
     module: ModulePresentation
     power: int
 
@@ -203,25 +257,34 @@ class SymPowerSource:
         if self.power < 1:
             raise ValueError("symmetric power must be at least 1")
 
+    @property
+    def keys(self) -> tuple[int, ...]:
+        return (0,) if self.module.is_free else tuple(range(self.power + 1))
 
-def source_generator_keys(source):
-    """Generator keys: ints, pairs, or symmetric-power counts.
+    def coefficients(self, *elements: ModuleElement):
+        if len(elements) != self.power:
+            raise ValueError(f"expected {self.power} arguments")
+        for m in elements:
+            if m.presentation != self.module:
+                raise ValueError("argument lives off the source module")
+        # a free module has g = 0, so only coeffs[0] ever appears
+        ring = self.module.ring
+        coeffs = [ring.one()]
+        for m in elements:
+            nxt = [c * m.f for c in coeffs]
+            if not m.g.is_zero:
+                nxt.append(ring.zero())
+                for k, c in enumerate(coeffs):
+                    nxt[k + 1] = nxt[k + 1] + c * m.g
+            coeffs = nxt
+        return enumerate(coeffs)
 
-    Linear sources use 1, 2; tensor sources use pairs (a, b); the m-th
-    symmetric power uses k = 0..m counting e2 factors in e1^(m-k) e2^k.
-    Free modules contribute their single effective generator only.
-    """
-    if isinstance(source, LinearSource):
-        return source.module.generator_keys
-    if isinstance(source, TensorSource):
-        return tuple((a, b)
-                     for a in source.left.generator_keys
-                     for b in source.right.generator_keys)
-    if isinstance(source, SymPowerSource):
-        if source.module.is_free:
-            return (0,)
-        return tuple(range(source.power + 1))
-    raise TypeError(f"unknown source {source!r}")
+    def relations(self):
+        # generator key 1 or 2 of the relation adds 0 or 1 e2 factor to e1^(m-1-k2) e2^k2
+        return tuple((f"monomial e1^{self.power - 1 - k2}e2^{k2} x relation {ridx}",
+                      tuple((c, k2 + k - 1) for c, k in rel))
+                     for k2 in range(self.power)
+                     for ridx, rel in enumerate(self.module.relations()))
 
 
 class GeneratorMap:
@@ -230,7 +293,7 @@ class GeneratorMap:
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source, target: ModulePresentation, images: dict):
-        keys = source_generator_keys(source)
+        keys = source.keys
         if set(images) != set(keys):
             raise ValueError(f"images must cover exactly the keys {keys}")
         for key, img in images.items():
@@ -240,64 +303,17 @@ class GeneratorMap:
         self.target = target
         self.images = dict(images)
 
-    def image(self, key) -> ModuleElement:
-        return self.images[key]
-
     def apply(self, *elements: ModuleElement) -> ModuleElement:
         """Evaluate on module elements, one per source slot.
 
-        Linear: one argument.  Tensor: (left, right), expanded
-        bilinearly.  Symmetric power m: m arguments, multiplied in one
-        at a time by c'_k = c_k*f + c_(k-1)*g, where c_k is the
-        coefficient of e1^(n-k) e2^k after n arguments: O(m^2) ring
-        products.  Symmetry of the images makes the order irrelevant.
+        Linear: one argument.  Tensor: (left, right).  Symmetric power m:
+        m arguments, in any order since the images are symmetric.
         """
-        src = self.source
-        if isinstance(src, LinearSource):
-            (m,) = elements
-            if m.presentation != src.module:
-                raise ValueError("argument lives off the source module")
-            out = m.f * self.images[1]
-            if not src.module.is_free:
-                out = out + m.g * self.images[2]
-            return out
-        if isinstance(src, TensorSource):
-            a, b = elements
-            if a.presentation != src.left or b.presentation != src.right:
-                raise ValueError("arguments live off the source modules")
-            out = self.target.zero()
-            for ka in src.left.generator_keys:
-                ca = a.f if ka == 1 else a.g
-                if ca.is_zero:
-                    continue
-                for kb in src.right.generator_keys:
-                    cb = b.f if kb == 1 else b.g
-                    if cb.is_zero:
-                        continue
-                    out = out + (ca * cb) * self.images[(ka, kb)]
-            return out
-        if isinstance(src, SymPowerSource):
-            if len(elements) != src.power:
-                raise ValueError(f"expected {src.power} arguments")
-            for m in elements:
-                if m.presentation != src.module:
-                    raise ValueError("argument lives off the source module")
-            # a free module has g = 0, so only coeffs[0] ever appears
-            ring = src.module.ring
-            coeffs = [ring.one()]
-            for m in elements:
-                nxt = [c * m.f for c in coeffs]
-                if not m.g.is_zero:
-                    nxt.append(ring.zero())
-                    for k, c in enumerate(coeffs):
-                        nxt[k + 1] = nxt[k + 1] + c * m.g
-                coeffs = nxt
-            out = self.target.zero()
-            for k, c in enumerate(coeffs):
-                if not c.is_zero:
-                    out = out + c * self.images[k]
-            return out
-        raise TypeError(f"unknown source {src!r}")
+        out = self.target.zero()
+        for key, c in self.source.coefficients(*elements):
+            if not c.is_zero:
+                out = out + c * self.images[key]
+        return out
 
     def __repr__(self):
         return f"GeneratorMap({self.source!r} -> {self.target!r})"
@@ -318,39 +334,11 @@ class RelationViolation:
 
 def _relation_defects(gmap: GeneratorMap):
     """Yield (description, defect) for every source relation pushed through the images."""
-    src = gmap.source
-    if isinstance(src, LinearSource):
-        for ridx, rel in enumerate(src.module.relations()):
-            defect = gmap.target.zero()
-            for coeff, gkey in rel:
-                defect = defect + coeff * gmap.images[gkey]
-            yield f"relation {ridx}", defect
-    elif isinstance(src, TensorSource):
-        for ridx, rel in enumerate(src.left.relations()):
-            for kb in src.right.generator_keys:
-                defect = gmap.target.zero()
-                for coeff, gkey in rel:
-                    defect = defect + coeff * gmap.images[(gkey, kb)]
-                yield f"left relation {ridx} x gen {kb}", defect
-        for ka in src.left.generator_keys:
-            for ridx, rel in enumerate(src.right.relations()):
-                defect = gmap.target.zero()
-                for coeff, gkey in rel:
-                    defect = defect + coeff * gmap.images[(ka, gkey)]
-                yield f"gen {ka} x right relation {ridx}", defect
-    elif isinstance(src, SymPowerSource):
-        if src.module.is_free:
-            return
-        # multiply each relation by every degree-(m-1) generator monomial
-        for k2 in range(src.power):
-            for ridx, rel in enumerate(src.module.relations()):
-                defect = gmap.target.zero()
-                for coeff, gkey in rel:
-                    key = k2 + (1 if gkey == 2 else 0)
-                    defect = defect + coeff * gmap.images[key]
-                yield f"monomial e1^{src.power - 1 - k2}e2^{k2} x relation {ridx}", defect
-    else:
-        raise TypeError(f"unknown source {src!r}")
+    for description, rel in gmap.source.relations():
+        defect = gmap.target.zero()
+        for coeff, key in rel:
+            defect = defect + coeff * gmap.images[key]
+        yield description, defect
 
 
 def check_well_defined(gmap: GeneratorMap, mode: TMode = GENERIC) -> RelationViolation | None:

@@ -34,6 +34,21 @@ def _mul_var(mon: tuple[int, int], var: str) -> tuple[int, int] | None:
     return None if ze > 0 else (0, we + 1)
 
 
+def _row(index: dict[tuple[int, int], int], dz_mon, dw_mon) -> list[int]:
+    """Coordinates of dz_mon*dz + dw_mon*dw over S_m*dz + S_m*dw.
+
+    index numbers the S_m basis; a monomial that z*w killed (None) adds
+    nothing.  The first map's target (S_m)^2 uses the same layout, its
+    two summands in place of dz and dw.
+    """
+    row = [0] * (2 * len(index))
+    if dz_mon is not None:
+        row[index[dz_mon]] = 1
+    if dw_mon is not None:
+        row[len(index) + index[dw_mon]] = 1
+    return row
+
+
 def resolution_exact_check(field: FieldConfig, degree_bound: int) -> bool:
     """Exactness of the node differentials sequence in degrees 0..degree_bound.
 
@@ -47,62 +62,27 @@ def resolution_exact_check(field: FieldConfig, degree_bound: int) -> bool:
     p = field.p
     for m in range(degree_bound + 1):
         dom = _basis(m - 1)
-        mid = _basis(m)
-        mid_index = {mon: k for k, mon in enumerate(mid)}
-        # the degree-(m+1) slice of raw D is S_m*dz + S_m*dw (dz, dw count 1)
-        width = 2 * len(mid)
+        mid = {mon: k for k, mon in enumerate(_basis(m))}
 
         # relation rows: mu * (w*dz + z*dw) for mu in S_(m-1)
-        rel_rows = []
-        for mu in dom:
-            row = [0] * width
-            dz_part = _mul_var(mu, "w")
-            dw_part = _mul_var(mu, "z")
-            if dz_part is not None:
-                row[mid_index[dz_part]] = 1
-            if dw_part is not None:
-                row[len(mid) + mid_index[dw_part]] = 1
-            if any(row):
-                rel_rows.append(row)
+        rel_rows = [_row(mid, _mul_var(mu, "w"), _mul_var(mu, "z")) for mu in dom]
         rel_rank = _linalg.rank(rel_rows, p)
 
         # second map on (S_m)^2: (f, g) -> f*dw + g*dz
-        second_rows = []
-        for comp in (0, 1):
-            for mon in mid:
-                row = [0] * width
-                if comp == 0:
-                    row[len(mid) + mid_index[mon]] = 1
-                else:
-                    row[mid_index[mon]] = 1
-                second_rows.append(row)
+        second_rows = ([_row(mid, None, mon) for mon in mid]
+                       + [_row(mid, mon, None) for mon in mid])
         second_rank = _linalg.rank(second_rows + rel_rows, p) - rel_rank
         kernel_dim = 2 * len(mid) - second_rank
 
         # first map: f -> (z*f, w*f) into (S_m)^2
-        first_rows = []
-        for mon in dom:
-            row = [0] * (2 * len(mid))
-            zm = _mul_var(mon, "z")
-            wm = _mul_var(mon, "w")
-            if zm is not None:
-                row[mid_index[zm]] = 1
-            if wm is not None:
-                row[len(mid) + mid_index[wm]] = 1
-            first_rows.append(row)
+        first_rows = [_row(mid, _mul_var(mon, "z"), _mul_var(mon, "w")) for mon in dom]
         if _linalg.rank(first_rows, p) != len(dom):  # injectivity
             return False
 
         # composite: (z*f)*dw + (w*f)*dz must die modulo the relation
         for mon in dom:
-            row = [0] * width
-            zm = _mul_var(mon, "z")
-            wm = _mul_var(mon, "w")
-            if zm is not None:
-                row[len(mid) + mid_index[zm]] = 1
-            if wm is not None:
-                row[mid_index[wm]] = 1
-            if any(row) and _linalg.rank(rel_rows + [row], p) != rel_rank:
+            row = _row(mid, _mul_var(mon, "w"), _mul_var(mon, "z"))
+            if _linalg.rank(rel_rows + [row], p) != rel_rank:
                 return False
 
         if kernel_dim != len(dom):  # exactness in the middle

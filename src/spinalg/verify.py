@@ -673,29 +673,15 @@ def suite_oracle_agreement(max_l: int = 10, max_r: int = 12) -> SuiteResult:
     return _result("oracle-agreement", cases, failures)
 
 
-ALL_SUITES = (
-    suite_ring_laws,
-    suite_well_definedness,
-    suite_commutativity,
-    suite_associativity,
-    suite_power_coherence,
-    suite_cokernel,
-    suite_localized,
-    suite_duality,
-    suite_automorphisms,
-    suite_resolution,
-    suite_enumeration,
-    suite_closed_forms,
-    suite_oracle_agreement,
-)
+# Random ring-law cases per level in verify-algebra.
+RING_CASES_PER_L = 200
 
 
-def run_all(max_r: int = 6, quick_ring_cases: int | None = None) -> list[SuiteResult]:
+def run_all(max_r: int = 6) -> list[SuiteResult]:
     """Run every suite scaled to the requested level bound."""
     max_l = max(1, max_r)
-    ring_cases = quick_ring_cases if quick_ring_cases is not None else 200
     return [
-        suite_ring_laws(max_l=min(max_l, 8), cases_per_l=ring_cases),
+        suite_ring_laws(max_l=min(max_l, 8), cases_per_l=RING_CASES_PER_L),
         suite_well_definedness(max_l=max_l),
         suite_commutativity(max_l=max_l),
         suite_associativity(max_l=min(max_l, 6)),

@@ -66,6 +66,37 @@ def test_strata_invalid_document(tmp_path, capsys):
     assert "error" in err
 
 
+def assert_one_error_line(code, out, err, field):
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("spinalg: error:")
+    assert field in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    (dict(LOOP_DOC, vertices=[{"id": "v0"}]), "vertices[0] is missing 'genus'"),
+    (dict(LOOP_DOC, vertices=[{"id": "v0", "genus": "x"}]), "vertices[0].genus"),
+    (dict(LOOP_DOC, edges=[["v0", "v0", "v0"]]), "edges[0]"),
+    (dict(LOOP_DOC, legs=[{"vertex": "v0", "marking": True}]), "legs[0].marking"),
+    (dict(LOOP_DOC, r=True), "r must be an integer"),
+    (dict(LOOP_DOC, edges=[]), "not stable"),  # genus 0 with one leg and no node
+], ids=["missing-genus", "string-genus", "three-element-edge", "bool-marking", "bool-r",
+        "unstable"])
+def test_strata_rejects_malformed_document_with_one_line(tmp_path, capsys, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert_one_error_line(*run(capsys, "strata", str(path)), field)
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("local-model", "--r", "4", "--l", "0", "--i", "1"), "--l"),
+    (("chi", "0", "1", "2", "1"), "not stable"),
+], ids=["local-model-l-zero", "chi-unstable"])
+def test_bad_arguments_exit_with_one_line(capsys, argv, field):
+    assert_one_error_line(*run(capsys, *argv), field)
+
+
 def test_graph_document_roundtrip():
     graph, r, m, prime = parse_graph_document(LOOP_DOC)
     assert isinstance(graph, DualGraph)

@@ -219,6 +219,16 @@ def test_cokernel_length_deep_case():
     assert cokernel_length(gm) == 11
 
 
+def test_cokernel_length_non_monomial_graded_map():
+    # multiplication by f on the free module: the cokernel is R/(f) with x*y = 0 at t = 0,
+    # with K-bases 1, x for f = x + y and 1, x, y, x^2 for f = x^2 + 3y^2
+    r2 = ring(2)
+    free = make_module(r2, 0, 0)
+    for f, length in ((r2.x() + r2.y(), 2), (r2.x(2) + 3 * r2.y(2), 4)):
+        gm = GeneratorMap(LinearSource(free), free, {1: free.element(f)})
+        assert cokernel_length(gm) == length
+
+
 def test_cokernel_requires_specialized_zero():
     r2 = ring(2, p=5)
     gm = power_map(r2, 2, 2, 1, 1, 1)
