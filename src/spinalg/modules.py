@@ -226,9 +226,10 @@ class TensorSource:
         if a.presentation != self.left or b.presentation != self.right:
             raise ValueError("arguments live off the source modules")
         # only nonzero factors are multiplied
-        ca = [(k, c) for k, c in zip(self.left.generator_keys, (a.f, a.g)) if not c.is_zero]
-        cb = [(k, c) for k, c in zip(self.right.generator_keys, (b.f, b.g)) if not c.is_zero]
-        return [((ka, kb), fa * fb) for ka, fa in ca for kb, fb in cb]
+        for ka, ca in zip(self.left.generator_keys, (a.f, a.g)):
+            for kb, cb in zip(self.right.generator_keys, (b.f, b.g)):
+                if not (ca.is_zero or cb.is_zero):
+                    yield (ka, kb), ca * cb
 
     def relations(self):
         left = tuple((f"left relation {ridx} x gen {kb}", tuple((c, (k, kb)) for c, k in rel))

@@ -62,6 +62,7 @@ def resolution_exact_check(field: FieldConfig, degree_bound: int) -> bool:
     p = field.p
     for m in range(degree_bound + 1):
         dom = _basis(m - 1)
+        # the degree-(m+1) slice of raw D is S_m*dz + S_m*dw (dz, dw count 1)
         mid = {mon: k for k, mon in enumerate(_basis(m))}
 
         # relation rows: mu * (w*dz + z*dw) for mu in S_(m-1)
