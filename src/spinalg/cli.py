@@ -205,6 +205,8 @@ def _cmd_local_model(args) -> int:
     i = args.i % args.l if args.l > 1 else 0
     j = (args.l - i) % args.l if args.l > 1 else 0
     pres = make_module(ring, i, j)
+    # built before the report so that a bad radius prints nothing
+    window = None if args.window is None else algebra_window(ring, i, j, args.r, args.window)
     print(REPORT_TAG)
     print("command: local-model")
     print(f"field: p={field.p}, r={field.r}")
@@ -232,8 +234,7 @@ def _cmd_local_model(args) -> int:
                       f"to M({gm.target.i},{gm.target.j}):")
                 for key in sorted(gm.images):
                     print(f"  e1^{gm.source.power - key}e2^{key} -> {gm.images[key]}")
-    if args.window is not None:
-        window = algebra_window(ring, i, j, args.r, args.window)
+    if window is not None:
         print(f"window radius {args.window}:")
         for grade in range(-args.window, args.window + 1):
             pres_g = window.grade(grade)

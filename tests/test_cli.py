@@ -91,8 +91,9 @@ def test_strata_rejects_malformed_document_with_one_line(tmp_path, capsys, doc, 
 
 @pytest.mark.parametrize("argv, field", [
     (("local-model", "--r", "4", "--l", "0", "--i", "1"), "--l"),
+    (("local-model", "--r", "4", "--l", "2", "--i", "1", "--window", "-1"), "window radius"),
     (("chi", "0", "1", "2", "1"), "not stable"),
-], ids=["local-model-l-zero", "chi-unstable"])
+], ids=["local-model-l-zero", "local-model-short-window", "chi-unstable"])
 def test_bad_arguments_exit_with_one_line(capsys, argv, field):
     assert_one_error_line(*run(capsys, *argv), field)
 
