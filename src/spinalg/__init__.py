@@ -56,12 +56,10 @@ from .products import (
 from .resolution import resolution_exact_check
 from .ring import GENERIC, LaurentElement, LaurentRing, NodeRing, RingElement, TMode
 from .twists import (
-    TierIndex,
     TwistData,
     balanced_partner,
     index_from_twist,
     marking_twist,
-    tier_twists,
 )
 from .verify import SuiteResult, run_all
 
@@ -87,7 +85,6 @@ __all__ = [
     "SymPowerSource",
     "TMode",
     "TensorSource",
-    "TierIndex",
     "TwistAssignment",
     "TwistData",
     "UpstairsElement",
@@ -121,7 +118,6 @@ __all__ = [
     "sym_power_map",
     "symbol_exponent",
     "tier_module",
-    "tier_twists",
     "vertex_degree_test",
     "__version__",
 ]

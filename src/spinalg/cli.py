@@ -202,8 +202,8 @@ def _cmd_local_model(args) -> int:
         raise ValueError(f"l={args.l} must divide r={args.r}")
     field = _field(args.r, args.p)
     ring = NodeRing(field, args.l)
-    i = args.i % args.l if args.l > 1 else 0
-    j = (args.l - i) % args.l if args.l > 1 else 0
+    i = args.i % args.l
+    j = (args.l - i) % args.l
     pres = make_module(ring, i, j)
     # built before the report so that a bad radius prints nothing
     window = None if args.window is None else algebra_window(ring, i, j, args.r, args.window)
@@ -215,8 +215,7 @@ def _cmd_local_model(args) -> int:
     if args.tiers:
         print(f"tiers (d | {args.r}):")
         for d in (d for d in range(args.r, 0, -1) if args.r % d == 0):
-            scale = args.r // d
-            tier = make_module(ring, (i * scale) % args.l, (j * scale) % args.l)
+            tier = pres.grade(args.r // d)
             tag = " free" if tier.is_free else ""
             print(f"  d={d}: M({tier.i},{tier.j}){tag}")
     if args.products:

@@ -38,13 +38,13 @@ class DualGraph:
         known = set(ids)
         for v, g in self.vertices:
             if g < 0:
-                raise ValueError(f"vertex {v} has negative genus")
+                raise ValueError(f"vertex {v!r} has negative genus")
         for a, b in self.edges:
             if a not in known or b not in known:
-                raise ValueError(f"edge ({a}, {b}) mentions an unknown vertex")
+                raise ValueError(f"edge ({a!r}, {b!r}) mentions an unknown vertex")
         for v, _m in self.legs:
             if v not in known:
-                raise ValueError(f"leg at unknown vertex {v}")
+                raise ValueError(f"leg at unknown vertex {v!r}")
         markings = sorted(m for _v, m in self.legs)
         if markings != list(range(1, len(markings) + 1)):
             raise ValueError("leg markings must be exactly 1..n")
@@ -72,7 +72,7 @@ class DualGraph:
         for v, g in self.vertices:
             if v == vid:
                 return g
-        raise ValueError(f"unknown vertex {vid}")
+        raise ValueError(f"unknown vertex {vid!r}")
 
     def valence(self, vid: str) -> int:
         """Half edges at a vertex: legs plus edge ends, loops counting twice."""

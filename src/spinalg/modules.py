@@ -52,6 +52,11 @@ class ModulePresentation:
     def generator_keys(self) -> tuple[int, ...]:
         return (1,) if self.is_free else (1, 2)
 
+    def grade(self, n: int) -> ModulePresentation:
+        """Grade n of the root system with this module at grade 1: M(n*i mod l, n*j mod l)."""
+        l = self.ring.l
+        return ModulePresentation(self.ring, n * self.i % l, n * self.j % l)
+
     def zero(self) -> ModuleElement:
         z = self.ring.zero()
         return ModuleElement(self, z, z)

@@ -23,7 +23,6 @@ from .modules import (
     make_module,
 )
 from .ring import GENERIC, NodeRing, TMode
-from .twists import tier_twists
 
 
 def product_map(a: ModulePresentation, b: ModulePresentation) -> GeneratorMap:
@@ -46,9 +45,6 @@ def product_map(a: ModulePresentation, b: ModulePresentation) -> GeneratorMap:
     l = ring.l
     target = make_module(ring, (a.i + b.i) % l, (a.j + b.j) % l)
 
-    if a.is_free and b.is_free:
-        images = {(1, 1): target.generator(1)}
-        return GeneratorMap(TensorSource(a, b), target, images)
     if a.is_free:
         images = {(1, kb): target.generator(kb) for kb in b.generator_keys}
         return GeneratorMap(TensorSource(a, b), target, images)
@@ -92,47 +88,43 @@ def sym_power_map(pres: ModulePresentation, m: int) -> GeneratorMap:
         e1^(m-k) e2^k  ->  x^(u-k) * t^(k*j) * v1        for k <= u,
         e1^(m-k) e2^k  ->  y^(v-m+k) * t^((m-k)*i) * v2  for k > u.
     """
-    if m < 1:
-        raise ValueError("symmetric power must be at least 1")
+    source = SymPowerSource(pres, m)
     ring = pres.ring
-    l = ring.l
-    target = make_module(ring, (m * pres.i) % l, (m * pres.j) % l)
-    if pres.is_free:
-        return GeneratorMap(SymPowerSource(pres, m), target, {0: target.generator(1)})
-
-    u, ru = divmod(m * pres.i - target.i, l)
-    v, rv = divmod(m * pres.j - target.j, l)
-    if ru or rv:
-        raise ValueError(f"inconsistent exponent data for Sym^{m} of {pres!r}")
+    target = pres.grade(m)
+    u = (m * pres.i - target.i) // ring.l
+    v = (m * pres.j - target.j) // ring.l
     images = {}
-    for k in range(m + 1):
+    for k in source.keys:
         if k <= u:
             images[k] = target.element(ring.monomial(x=u - k, t=k * pres.j), 0)
         else:
             images[k] = target.element(0, ring.monomial(y=v - m + k, t=(m - k) * pres.i))
-    return GeneratorMap(SymPowerSource(pres, m), target, images)
+    return GeneratorMap(source, target, images)
 
 
 def tier_module(ring: NodeRing, i_top: int, j_top: int, r: int, d: int) -> ModulePresentation:
-    """Presentation of the tier-d piece of a root system with top pair (i_top, j_top)."""
-    tier = tier_twists(i_top, j_top, ring.l, r, d)
-    return make_module(ring, tier.i, tier.j)
+    """Tier d of a root system with top pair (i_top, j_top): its grade r/d.
+
+    Requires l | r and d | r.  The top tier is d = r; tier d is free
+    exactly when l divides (r/d) * i_top, and then every tier e | d is
+    free as well.
+    """
+    if r % ring.l != 0:
+        raise ValueError(f"l must divide r; got l={ring.l}, r={r}")
+    if d < 1 or r % d != 0:
+        raise ValueError(f"tier must divide r; got d={d}, r={r}")
+    return make_module(ring, i_top, j_top).grade(r // d)
 
 
 def power_map(ring: NodeRing, r: int, d: int, e: int, i_top: int, j_top: int) -> GeneratorMap:
     """Comparison map from the (d/e)-th symmetric power of tier d to tier e.
 
     Requires e | d | r.  The map is the symmetric power of the tier-d
-    module; its computed target always agrees with the tier-e exponents.
+    module; its target, grade (r/d)*(d/e) = r/e, is tier e.
     """
     if d < 1 or r % d != 0 or e < 1 or d % e != 0:
         raise ValueError(f"need e | d | r; got e={e}, d={d}, r={r}")
-    source = tier_module(ring, i_top, j_top, r, d)
-    gmap = sym_power_map(source, d // e)
-    expected = tier_module(ring, i_top, j_top, r, e)
-    if gmap.target != expected:
-        raise AssertionError("tier arithmetic is inconsistent")  # unreachable
-    return gmap
+    return sym_power_map(tier_module(ring, i_top, j_top, r, d), d // e)
 
 
 def compatibility_check(ring: NodeRing, r: int, d2: int, d1: int, d0: int,
@@ -148,22 +140,16 @@ def compatibility_check(ring: NodeRing, r: int, d2: int, d1: int, d0: int,
     top = power_map(ring, r, d2, d1, i_top, j_top)
     bottom = power_map(ring, r, d1, d0, i_top, j_top)
     direct = power_map(ring, r, d2, d0, i_top, j_top)
-    source = tier_module(ring, i_top, j_top, r, d2)
 
     block = d2 // d1
     nblocks = d1 // d0
     for key in direct.images:
-        if source.is_free:
-            factors = [1] * (d2 // d0)
-        else:
-            factors = [1] * (d2 // d0 - key) + [2] * key
+        # a free source has the single key 0: every factor is e1
+        factors = [1] * (d2 // d0 - key) + [2] * key
         block_values: list[ModuleElement] = []
         for bidx in range(nblocks):
             chunk = factors[bidx * block:(bidx + 1) * block]
-            if source.is_free:
-                block_values.append(top.images[0])
-            else:
-                block_values.append(top.images[chunk.count(2)])
+            block_values.append(top.images[chunk.count(2)])
         composed = bottom.apply(*block_values)
         if composed != direct.images[key]:
             return False
@@ -177,8 +163,7 @@ def dual_pairing(pres: ModulePresentation) -> GeneratorMap:
     matrix is ((x, t^i), (t^j, y)), and inverting x or y makes it
     perfect since the off-diagonal entries become unit multiples.
     """
-    partner = make_module(pres.ring, pres.j, pres.i)
-    return product_map(pres, partner)
+    return product_map(pres, pres.grade(-1))
 
 
 # -- the graded algebra in a window -------------------------------------
@@ -216,15 +201,12 @@ def algebra_window(ring: NodeRing, i: int, j: int, r: int, radius: int) -> Algeb
     r (and every multiple of it) is the free module, t acting there as
     the smoothing parameter of the downstairs node.
     """
-    if ring.l < 1 or r % ring.l != 0:
+    if r % ring.l != 0:
         raise ValueError(f"the node parameter l={ring.l} must divide r={r}")
     if radius < r:
         raise ValueError(f"window radius {radius} must be at least r={r}")
-    make_module(ring, i, j)  # validates the exponent pair
-    grades = {n: make_module(ring, (n * i) % ring.l, (n * j) % ring.l)
-              for n in range(-radius, radius + 1)}
-    if not grades[r].is_free:
-        raise AssertionError("grade r must be free")  # unreachable: l | r
+    top = make_module(ring, i, j)
+    grades = {n: top.grade(n) for n in range(-radius, radius + 1)}
     products = {}
     for n1, n2 in iproduct(range(-radius, radius + 1), repeat=2):
         if -radius <= n1 + n2 <= radius:
@@ -262,28 +244,13 @@ def automorphisms(pres: ModulePresentation, e: int, mode: TMode = GENERIC,
         raise ValueError(f"order {e} must divide the field level r={field.r}")
     roots = field.unity_roots(e)
     gamma = sym_power_map(pres, e)
-    surviving = {k: img.specialize(mode) for k, img in gamma.images.items()}
+    surviving = [k for k, img in gamma.images.items() if not img.specialize(mode).is_zero]
 
-    tval = None if mode.is_generic else field.reduce(mode.value)
-    pairs = []
-    for h in roots:
-        for s in roots:
-            if h != s:
-                if pres.is_free:
-                    continue
-                # endomorphism condition: (h - s) t^j = (s - h) t^i = 0
-                if mode.is_generic or tval != 0:
-                    continue
-                if not disconnected:
-                    continue
-            ok = True
-            for k, img in surviving.items():
-                if img.is_zero:
-                    continue
-                if pow(h, e - k, field.p) * pow(s, k, field.p) % field.p != 1:
-                    ok = False
-                    break
-            if ok:
-                pairs.append((h, s))
-    pairs.sort()
+    # endomorphism condition for h != s: (h - s) t^j = (s - h) t^i = 0
+    split = (not pres.is_free and not mode.is_generic and field.reduce(mode.value) == 0
+             and disconnected)
+    pairs = sorted((h, s) for h in roots for s in roots
+                   if (h == s or split)
+                   and all(pow(h, e - k, field.p) * pow(s, k, field.p) % field.p == 1
+                           for k in surviving))
     return AutomorphismGroup(tuple(pairs), len(pairs), all(h == s for h, s in pairs))

@@ -3,8 +3,7 @@
 A node twist k in {0, .., r-1} determines the local index l = r/gcd(k, r)
 and the balanced exponent pair (a, b) = (k/gcd(k, r), l - a), which in
 turn name the node-ring module M(a, b) carried by the root bundle on
-each branch.  Lower tiers (the d-th root pieces for d | r) rescale the
-top exponents by r/d and reduce mod l.
+each branch.
 """
 from __future__ import annotations
 
@@ -65,28 +64,3 @@ def marking_twist(power: int, l: int, b: int, r: int) -> int:
         raise ValueError(f"l must divide r; got l={l}, r={r}")
     return (-power * b * (r // l)) % r
 
-
-@dataclass(frozen=True)
-class TierIndex:
-    """Exponent pair of the d-th tier of a root system with top pair (i, j)."""
-
-    d: int
-    i: int
-    j: int
-
-
-def tier_twists(i_top: int, j_top: int, l: int, r: int, d: int) -> TierIndex:
-    """Exponents of the tier-d module: the top pair scaled by r/d mod l.
-
-    Requires d | r and l | r.  The top tier is d = r; tier d is free
-    exactly when l divides (r/d) * i_top, and then every tier e | d is
-    free as well.
-    """
-    if l < 1 or r % l != 0:
-        raise ValueError(f"l must divide r; got l={l}, r={r}")
-    if d < 1 or r % d != 0:
-        raise ValueError(f"tier must divide r; got d={d}, r={r}")
-    if not ((i_top == 0 and j_top == 0) or (0 < i_top and 0 < j_top and i_top + j_top == l)):
-        raise ValueError(f"top exponents must be (0, 0) or positive with sum l; got ({i_top}, {j_top})")
-    scale = r // d
-    return TierIndex(d, (i_top * scale) % l, (j_top * scale) % l)

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinalg.cli import graph_document, main, parse_graph_document
 from spinalg.dualgraph import DualGraph
@@ -87,6 +92,70 @@ def test_strata_rejects_malformed_document_with_one_line(tmp_path, capsys, doc, 
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert_one_error_line(*run(capsys, "strata", str(path)), field)
+
+
+# Property test at the strata boundary: every document field is drawn from
+# JSON values of the expected type or, one time in ten, any other, with r <= 4,
+# at most 4 edges, 3 vertices and 3 legs so the r^E scan stays small.
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 4),
+                       st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3))
+_json_any = st.recursive(_json_leaf, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+
+_one_in_ten = st.sampled_from([False] * 9 + [True])
+
+
+def _typed_or_any(draw, typed):
+    return draw(_json_any) if draw(_one_in_ten) else draw(typed)
+
+
+@st.composite
+def _documents(draw):
+    ids = st.sampled_from(["v0", "v1", "v\nx"])  # an id with a newline in it
+    n_legs = draw(st.integers(0, 3))
+    markings = draw(st.permutations(range(1, n_legs + 1)))
+    vertices = [{"id": _typed_or_any(draw, ids), "genus": _typed_or_any(draw, st.integers(-1, 2))}
+                for _ in range(draw(st.integers(1, 3)))]
+    doc = {
+        "r": _typed_or_any(draw, st.integers(1, 4)),
+        "m": _typed_or_any(draw, st.lists(st.integers(-5, 5), min_size=n_legs, max_size=n_legs)),
+        "vertices": vertices if not draw(_one_in_ten) else draw(_json_any),
+        "edges": _typed_or_any(draw, st.lists(st.lists(ids, min_size=2, max_size=2), max_size=4)),
+        "legs": [{"vertex": _typed_or_any(draw, ids), "marking": _typed_or_any(draw, st.just(k))}
+                 for k in markings],
+    }
+    if draw(st.booleans()):
+        doc["field_prime"] = _typed_or_any(
+            draw, st.sampled_from([0, 1, 4, 5, 13, 17, 318665857834031151167461]))
+    if draw(_one_in_ten):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+# ids with a newline once split the DualGraph error messages over two lines
+@given(st.one_of(_documents(), _json_any))
+@example({"r": 1, "m": [0], "vertices": [{"id": "v0", "genus": 1}], "edges": [],
+          "legs": [{"vertex": "v\nx", "marking": 1}]})
+@example({"r": 2, "m": [], "vertices": [{"id": "v\nx", "genus": -1}], "edges": [], "legs": []})
+@example({"r": 2, "m": [], "vertices": [{"id": "v0", "genus": 1}], "edges": [["v0", "v\nx"]],
+          "legs": []})
+@settings(max_examples=300, deadline=None)
+def test_strata_boundary_property(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["strata", str(path)])
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("spinalg: error:")
+    else:
+        assert err.getvalue() == ""
 
 
 @pytest.mark.parametrize("argv, field", [

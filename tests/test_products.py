@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import gcd
+
 import pytest
 
 from spinalg.field import FieldConfig
@@ -123,7 +125,30 @@ def test_sym_power_intermediate_tier():
         sym_power_map(m13, 0)
 
 
+def test_grade():
+    for l in range(1, 7):
+        rl = ring(l)
+        for i in range(l):
+            pres = make_module(rl, i, (l - i) % l)
+            assert pres.grade(0).is_free
+            assert pres.grade(1) == pres
+            assert pres.grade(-1) == make_module(rl, pres.j, pres.i)
+            for n in range(-2 * l, 2 * l):
+                assert pres.grade(n + l) == pres.grade(n)
+                assert pres.grade(n) == make_module(rl, n * pres.i % l, n * pres.j % l)
+                if pres.is_free:
+                    assert pres.grade(n).is_free
+
+
 def test_tier_module_and_power_map():
+    r4 = ring(4)
+    assert tier_module(r4, 1, 3, 4, 4) == make_module(r4, 1, 3)
+    assert tier_module(r4, 1, 3, 4, 2) == make_module(r4, 2, 2)
+    assert tier_module(r4, 1, 3, 4, 1).is_free
+    with pytest.raises(ValueError):
+        tier_module(r4, 1, 3, 4, 3)  # 3 does not divide 4
+    with pytest.raises(ValueError):
+        tier_module(r4, 1, 3, 6, 6)  # l = 4 does not divide 6
     r2 = ring(2, p=13)
     assert tier_module(r2, 1, 1, 12, 12) == make_module(r2, 1, 1)
     assert tier_module(r2, 1, 1, 12, 6).is_free
@@ -132,6 +157,24 @@ def test_tier_module_and_power_map():
     assert gm.target.is_free
     with pytest.raises(ValueError):
         power_map(r2, 12, 8, 4, 1, 1)  # 8 does not divide 12
+
+
+def test_power_map_lands_on_tier_e():
+    maps = 0
+    for r in range(1, 13):
+        divisors = [d for d in range(1, r + 1) if r % d == 0]
+        for l in divisors:
+            rl = ring(l)
+            for i in range(l):
+                if i and gcd(i, l) != 1:
+                    continue
+                j = (l - i) % l
+                for d in divisors:
+                    for e in (e for e in divisors if d % e == 0):
+                        gm = power_map(rl, r, d, e, i, j)
+                        assert gm.target == tier_module(rl, i, j, r, e)
+                        maps += 1
+    assert maps == 816
 
 
 def test_power_maps_compose():

@@ -3,12 +3,10 @@ from __future__ import annotations
 import pytest
 
 from spinalg.twists import (
-    TierIndex,
     TwistData,
     balanced_partner,
     index_from_twist,
     marking_twist,
-    tier_twists,
 )
 
 
@@ -59,17 +57,3 @@ def test_marking_twist_inverts_character():
     assert marking_twist(0, 3, 1, 6) == 0
     assert marking_twist(2, 3, 2, 6) == 4
 
-
-def test_tier_index():
-    t = TierIndex(4, 1, 3)
-    assert (t.d, t.i, t.j) == (4, 1, 3)
-
-
-def test_tier_twists():
-    assert tier_twists(1, 3, 4, 4, 4) == TierIndex(4, 1, 3)
-    assert tier_twists(1, 3, 4, 4, 2) == TierIndex(2, 2, 2)
-    assert tier_twists(1, 3, 4, 4, 1) == TierIndex(1, 0, 0)
-    assert tier_twists(1, 1, 2, 12, 12) == TierIndex(12, 1, 1)
-    assert tier_twists(1, 1, 2, 12, 6) == TierIndex(6, 0, 0)
-    with pytest.raises(ValueError):
-        tier_twists(1, 3, 4, 4, 3)  # 3 does not divide 4
