@@ -141,14 +141,6 @@ def test_grade():
 
 
 def test_tier_module_and_power_map():
-    r4 = ring(4)
-    assert tier_module(r4, 1, 3, 4, 4) == make_module(r4, 1, 3)
-    assert tier_module(r4, 1, 3, 4, 2) == make_module(r4, 2, 2)
-    assert tier_module(r4, 1, 3, 4, 1).is_free
-    with pytest.raises(ValueError):
-        tier_module(r4, 1, 3, 4, 3)  # 3 does not divide 4
-    with pytest.raises(ValueError):
-        tier_module(r4, 1, 3, 6, 6)  # l = 4 does not divide 6
     r2 = ring(2, p=13)
     assert tier_module(r2, 1, 1, 12, 12) == make_module(r2, 1, 1)
     assert tier_module(r2, 1, 1, 12, 6).is_free

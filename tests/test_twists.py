@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from spinalg.field import FieldConfig
+from spinalg.modules import make_module
+from spinalg.products import tier_module
+from spinalg.ring import NodeRing
 from spinalg.twists import (
     TwistData,
     balanced_partner,
@@ -57,3 +61,17 @@ def test_marking_twist_inverts_character():
     assert marking_twist(0, 3, 1, 6) == 0
     assert marking_twist(2, 3, 2, 6) == 4
 
+
+def test_tier_twists():
+    # tier d of a node with top twists (i, j) carries M(i*r/d mod l, j*r/d mod l)
+    r4 = NodeRing(FieldConfig(97, 1), 4)
+    assert tier_module(r4, 1, 3, 4, 4) == make_module(r4, 1, 3)
+    assert tier_module(r4, 1, 3, 4, 2) == make_module(r4, 2, 2)
+    assert tier_module(r4, 1, 3, 4, 1).is_free
+    r2 = NodeRing(FieldConfig(13, 1), 2)
+    assert tier_module(r2, 1, 1, 12, 12) == make_module(r2, 1, 1)
+    assert tier_module(r2, 1, 1, 12, 6).is_free
+    with pytest.raises(ValueError):
+        tier_module(r4, 1, 3, 4, 3)  # 3 does not divide 4
+    with pytest.raises(ValueError):
+        tier_module(r4, 1, 3, 6, 6)  # l = 4 does not divide 6
