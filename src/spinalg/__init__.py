@@ -28,7 +28,6 @@ from .modules import (
     TensorSource,
     check_well_defined,
     cokernel_length,
-    graded_dims,
     make_module,
     monomial_basis,
 )
@@ -54,7 +53,7 @@ from .products import (
     tier_module,
 )
 from .resolution import resolution_exact_check
-from .ring import GENERIC, LaurentElement, LaurentRing, NodeRing, RingElement, TMode
+from .ring import LaurentElement, LaurentRing, NodeRing, RingElement
 from .twists import (
     TwistData,
     balanced_partner,
@@ -70,7 +69,6 @@ __all__ = [
     "AutomorphismGroup",
     "DualGraph",
     "FieldConfig",
-    "GENERIC",
     "GeneratorMap",
     "LaurentElement",
     "LaurentRing",
@@ -83,7 +81,6 @@ __all__ = [
     "SpinChart",
     "SuiteResult",
     "SymPowerSource",
-    "TMode",
     "TensorSource",
     "TwistAssignment",
     "TwistData",
@@ -98,7 +95,6 @@ __all__ = [
     "deformation_dimension",
     "dual_pairing",
     "enumerate_assignments",
-    "graded_dims",
     "graph_genus",
     "index_from_twist",
     "is_prime",

@@ -266,7 +266,7 @@ def parse_chart_expression(chart: SpinChart, text: str) -> UpstairsElement:
         if isinstance(node, ast.Expression):
             return ev(node.body)
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, int):
+            if type(node.value) is int:  # bool is an int subclass; refuse it
                 return chart.const(node.value)
             raise ValueError(f"only integer constants allowed, got {node.value!r}")
         if isinstance(node, ast.Name):
@@ -287,7 +287,7 @@ def parse_chart_expression(chart: SpinChart, text: str) -> UpstairsElement:
                 sign = 1
                 if isinstance(exp_node, ast.UnaryOp) and isinstance(exp_node.op, ast.USub):
                     sign, exp_node = -1, exp_node.operand
-                if not (isinstance(exp_node, ast.Constant) and isinstance(exp_node.value, int)):
+                if not (isinstance(exp_node, ast.Constant) and type(exp_node.value) is int):
                     raise ValueError("exponents must be integer literals")
                 exp = sign * exp_node.value
                 if exp < 0:
@@ -333,6 +333,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_r < 1:
+        raise ValueError(f"--max-r must be a positive integer, got {args.max_r}")
     print(REPORT_TAG)
     print("command: verify-algebra")
     print(f"max-r: {args.max_r}")

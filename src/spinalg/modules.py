@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _linalg
-from .ring import GENERIC, LaurentElement, NodeRing, RingElement, TMode
+from .ring import LaurentElement, NodeRing, RingElement
 
 
 @dataclass(frozen=True)
@@ -160,8 +160,8 @@ class ModuleElement:
     def __hash__(self):
         return hash((self.presentation, self.f, self.g))
 
-    def specialize(self, mode: TMode) -> ModuleElement:
-        return ModuleElement(self.presentation, self.f.specialize(mode), self.g.specialize(mode))
+    def specialize(self, t: int) -> ModuleElement:
+        return ModuleElement(self.presentation, self.f.specialize(t), self.g.specialize(t))
 
     def localized_coefficient(self, at: str) -> LaurentElement:
         """Coefficient on the surviving free generator after inverting x or y.
@@ -347,15 +347,14 @@ def _relation_defects(gmap: GeneratorMap):
         yield description, defect
 
 
-def check_well_defined(gmap: GeneratorMap, mode: TMode = GENERIC) -> RelationViolation | None:
-    """First violated source relation in the given t-mode, or None.
+def check_well_defined(gmap: GeneratorMap) -> RelationViolation | None:
+    """First source relation violated with t generic, or None.
 
-    Generic-mode zero defects specialize to zero, so a generic pass
-    certifies every specialization; the converse fails, which is what
-    makes extra maps appear at t = 0.
+    A defect that is zero with t generic stays zero at every value of t,
+    so a pass certifies every specialization; the converse fails, which
+    is what makes extra maps appear at t = 0.
     """
     for description, defect in _relation_defects(gmap):
-        defect = defect.specialize(mode)
         if not defect.is_zero:
             return RelationViolation(description, defect)
     return None
@@ -378,13 +377,6 @@ def monomial_basis(pres: ModulePresentation, degree: int) -> tuple[tuple[int, in
     return ((1, degree), (2, degree))
 
 
-def graded_dims(pres: ModulePresentation, mode: TMode, bound: int) -> list[int]:
-    """Dimensions of the degree filtration slices 0..bound at specialized t."""
-    if mode.is_generic:
-        raise ValueError("graded dimensions need a specialized t")
-    return [len(monomial_basis(pres, d)) for d in range(bound + 1)]
-
-
 def _vectorize(elem: ModuleElement, index: dict[tuple[int, int], int]) -> list[int]:
     """Coordinates of a t-specialized element in the monomial basis slices."""
     vec = [0] * len(index)
@@ -403,8 +395,8 @@ def _vectorize(elem: ModuleElement, index: dict[tuple[int, int], int]) -> list[i
     return vec
 
 
-def cokernel_length(gmap: GeneratorMap, mode: TMode = TMode.specialized(0)) -> int:
-    """K-dimension of the cokernel of a well-defined map at t = 0.
+def cokernel_length(gmap: GeneratorMap) -> int:
+    """K-dimension of the cokernel at t = 0 of a well-defined map given with t generic.
 
     Works degree by degree: with Q_m the cokernel dimension in degrees
     <= m, the answer is the stable value of Q_m.  At t = 0 multiplying
@@ -413,8 +405,6 @@ def cokernel_length(gmap: GeneratorMap, mode: TMode = TMode.specialized(0)) -> i
     making each Q_m exact.  Stops after three consecutive zero
     increments beyond both max(i, j, l) and the top image degree.
     """
-    if mode.is_generic or gmap.target.ring.field.reduce(mode.value) != 0:
-        raise ValueError("cokernel is computed at t = 0")
     violation = check_well_defined(gmap)
     if violation is not None:
         raise ValueError(f"map is not well defined: {violation!r}")
@@ -422,10 +412,8 @@ def cokernel_length(gmap: GeneratorMap, mode: TMode = TMode.specialized(0)) -> i
     pres = gmap.target
     ring = pres.ring
     p = ring.field.p
-    images = [img.specialize(mode) for img in gmap.images.values()]
-    img_degree = max((im.f.xy_degree() for im in images if not im.f.is_zero), default=0)
-    img_degree = max(img_degree,
-                     max((im.g.xy_degree() for im in images if not im.g.is_zero), default=0))
+    images = [img.specialize(0) for img in gmap.images.values()]
+    img_degree = max((max(im.f.xy_degree(), im.g.xy_degree()) for im in images), default=0)
     floor = max(pres.i, pres.j, ring.l, img_degree)
     cap = floor + 8
 
@@ -441,7 +429,7 @@ def cokernel_length(gmap: GeneratorMap, mode: TMode = TMode.specialized(0)) -> i
     image_rows = []
     for mu in multipliers:
         for im in images:
-            prod = (mu * im).specialize(mode)
+            prod = (mu * im).specialize(0)
             if not prod.is_zero:
                 image_rows.append(_vectorize(prod, index))
     image_rank = _linalg.rank(image_rows, p)

@@ -22,7 +22,7 @@ from .modules import (
     TensorSource,
     make_module,
 )
-from .ring import GENERIC, NodeRing, TMode
+from .ring import NodeRing
 
 
 def product_map(a: ModulePresentation, b: ModulePresentation) -> GeneratorMap:
@@ -226,29 +226,28 @@ class AutomorphismGroup:
     diagonal: bool
 
 
-def automorphisms(pres: ModulePresentation, e: int, mode: TMode = GENERIC,
+def automorphisms(pres: ModulePresentation, e: int, t: int | None = None,
                   disconnected: bool = False) -> AutomorphismGroup:
     """Scalings (h, s) of the two generators compatible with the e-th power.
 
     A pair scales e1 by h and e2 by s, both e-th roots of unity.  It
-    must be a module endomorphism in the given t-mode (away from t = 0
-    the relations force h = s) and must fix every surviving image of
-    the e-th symmetric power map.  At t = 0 the two branches of the
-    node decouple and the full product group appears, but only when the
-    covering curve is disconnected; the connected case keeps the
-    diagonal.  Free modules identify the generators, so they always
-    force h = s.
+    must be a module endomorphism at the field constant t (t generic if
+    None; away from t = 0 the relations force h = s) and must fix every
+    image of the e-th symmetric power map that survives there.  At t = 0
+    the two branches of the node decouple and the full product group
+    appears, but only when the covering curve is disconnected; the
+    connected case keeps the diagonal.  Free modules identify the
+    generators, so they always force h = s.
     """
     field = pres.ring.field
     if e < 1 or field.r % e != 0:
         raise ValueError(f"order {e} must divide the field level r={field.r}")
     roots = field.unity_roots(e)
     gamma = sym_power_map(pres, e)
-    surviving = [k for k, img in gamma.images.items() if not img.specialize(mode).is_zero]
+    surviving = [k for k, img in gamma.images.items() if t is None or not img.specialize(t).is_zero]
 
     # endomorphism condition for h != s: (h - s) t^j = (s - h) t^i = 0
-    split = (not pres.is_free and not mode.is_generic and field.reduce(mode.value) == 0
-             and disconnected)
+    split = not pres.is_free and t is not None and field.reduce(t) == 0 and disconnected
     pairs = sorted((h, s) for h in roots for s in roots
                    if (h == s or split)
                    and all(pow(h, e - k, field.p) * pow(s, k, field.p) % field.p == 1

@@ -8,7 +8,7 @@ literal comparison of term dictionaries.
 
 A monomial is keyed (x exponent, y exponent, t exponent); normal forms
 have x*y exponent product zero.  The deformation parameter t can be left
-generic or pinned to a field constant (TMode), t = 0 being the node.
+generic or pinned to a field constant by specialize, t = 0 being the node.
 
 TermRing and TermElement are the one implementation of term-dict
 arithmetic over F_p.  NodeRing (x*y -> t^l), LaurentRing (x or y inverted,
@@ -23,39 +23,6 @@ from operator import itemgetter
 from .field import FieldConfig
 
 Monomial = tuple[int, int, int]
-
-
-class TMode:
-    """Evaluation mode for t: generic (free variable) or a field constant."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int | None = None):
-        self.value = value
-
-    @classmethod
-    def generic(cls) -> TMode:
-        return cls(None)
-
-    @classmethod
-    def specialized(cls, c: int) -> TMode:
-        return cls(int(c))
-
-    @property
-    def is_generic(self) -> bool:
-        return self.value is None
-
-    def __eq__(self, other):
-        return isinstance(other, TMode) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("TMode", self.value))
-
-    def __repr__(self):
-        return "TMode.generic()" if self.is_generic else f"TMode.specialized({self.value})"
-
-
-GENERIC = TMode.generic()
 
 
 class TermRing:
@@ -236,12 +203,9 @@ class RingElement(TermElement):
         """Largest x- or y-exponent across terms (used for degree filtrations)."""
         return max((xe + ye for (xe, ye, _te) in self.terms), default=0)
 
-    def specialize(self, mode: TMode) -> RingElement:
-        """Substitute t by the mode's constant; generic mode is the identity."""
-        if mode.is_generic:
-            return self
-        c = self.ring.field.reduce(mode.value)
-        raw = [((xe, ye, 0), coeff * pow(c, te, self.ring.field.p))
+    def specialize(self, t: int) -> RingElement:
+        """Substitute the field constant t for the smoothing parameter."""
+        raw = [((xe, ye, 0), coeff * pow(t, te, self.ring.field.p))
                for (xe, ye, te), coeff in self.terms.items()]
         return self.ring.from_terms(raw)
 

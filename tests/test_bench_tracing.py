@@ -1,0 +1,47 @@
+"""The benchmark's per-layer tracer still finds every entry point it wraps by name.
+
+perfbench/tracing.py patches spinalg functions and methods by attribute
+name, so a renamed or deleted entry point would otherwise fail only a
+traced benchmark run.  This test loads the harness as it runs (through
+perfbench/run.py's load_api), installs the tracer, makes a few calls and
+uninstalls it again; it reads perfbench/ and changes nothing there.
+"""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def _load_run():
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bound(target, attr):
+    return target.__dict__[attr] if isinstance(target, type) else getattr(target, attr)
+
+
+def test_tracer_installs_on_every_entry_point_and_uninstalls():
+    run = _load_run()
+    api = run.load_api()
+    tracer = run.Tracer()
+    run.install(tracer, api)
+    patched = list(tracer._restore)
+    try:
+        assert patched
+        for target, attr, orig in patched:
+            assert _bound(target, attr).__wrapped__ is orig, (target, attr)
+        ring = api.ring.NodeRing(api.field.FieldConfig.for_level(2), 2)
+        length = api.modules.cokernel_length(api.products.power_map(ring, 2, 2, 1, 1, 1))
+    finally:
+        tracer.uninstall()
+    assert length == 1
+    for name in ("modules.cokernel_length", "modules.check_well_defined", "ring.specialize",
+                 "products.power_map", "ring.mul", "linalg.row_reduce"):
+        assert tracer.calls[name] > 0, name
+    for target, attr, orig in patched:
+        assert _bound(target, attr) is orig, (target, attr)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -158,11 +159,68 @@ def test_strata_boundary_property(doc):
         assert err.getvalue() == ""
 
 
+# Property test at the argument boundary of chi, local-model and oracle: every
+# argv parses (integers where argparse wants them), so each reject comes from
+# the program.  r <= 12, window <= r + 1 and a fixed list of short expressions
+# keep each run small.
+_small = st.integers(-3, 13)
+_primes = st.sampled_from([None, "0", "1", "4", "5", "13", "37", "97", "318665857834031151167461"])
+_expressions = st.sampled_from([
+    "z*w + S**2", "(z + w + S)**3 - t", "S**-2 + 1", "z**-1", "t**0", "-z", "7", "True",
+    "z**True", "1.5", "z/w", "q + 1", "z +", "", "S**-True", "z**(1+1)"])
+
+
+def _option(name, value):
+    return [] if value is None else [name, str(value)]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["chi", "local-model", "oracle"]))
+    if command == "chi":
+        return ["chi", *(str(draw(_small)) for _ in range(draw(st.integers(3, 7))))]
+    if command == "oracle":
+        return ["oracle", "--l", str(draw(st.integers(-2, 12))),
+                *_option("--b", draw(st.none() | _small)), *_option("--p", draw(_primes)),
+                "--expr=" + draw(_expressions)]  # "--expr -z" would read -z as a flag
+    r = draw(st.integers(-2, 12))
+    window = draw(st.none() | st.integers(-2, max(r, 0) + 1))
+    return ["local-model", "--r", str(r), "--l", str(draw(st.integers(-2, 12))),
+            "--i", str(draw(_small)), *_option("--p", draw(_primes)),
+            *_option("--window", window),
+            *[flag for flag in ("--tiers", "--products") if draw(st.booleans())]]
+
+
+# oracle once read True as 1 and z**True as z
+@given(_argvs())
+@example(["oracle", "--l", "2", "--expr=True"])
+@example(["oracle", "--l", "2", "--expr=z**True"])
+@settings(max_examples=300, deadline=None)
+def test_argv_boundary_property(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("spinalg: error:")
+    else:
+        assert err.getvalue() == ""
+        if argv[0] == "oracle":
+            # a report means the expression names only the chart variables
+            expr = argv[-1].removeprefix("--expr=")
+            assert set(re.findall(r"[A-Za-z_]\w*", expr)) <= {"z", "w", "t", "S"}
+
+
 @pytest.mark.parametrize("argv, field", [
     (("local-model", "--r", "4", "--l", "0", "--i", "1"), "--l"),
     (("local-model", "--r", "4", "--l", "2", "--i", "1", "--window", "-1"), "window radius"),
     (("chi", "0", "1", "2", "1"), "not stable"),
-], ids=["local-model-l-zero", "local-model-short-window", "chi-unstable"])
+    (("verify-algebra", "--max-r", "0"), "--max-r"),
+    (("verify-algebra", "--max-r", "-3"), "--max-r"),
+], ids=["local-model-l-zero", "local-model-short-window", "chi-unstable", "verify-max-r-zero",
+        "verify-max-r-negative"])
 def test_bad_arguments_exit_with_one_line(capsys, argv, field):
     assert_one_error_line(*run(capsys, *argv), field)
 
@@ -221,6 +279,11 @@ def test_oracle_rejects_bad_expression(capsys):
     assert code == 1
     code, _, err = run(capsys, "oracle", "--l", "2", "--expr", "__import__('os')")
     assert code == 1
+    # bool is an int subclass in Python; neither True nor z**True is an integer literal
+    code, out, err = run(capsys, "oracle", "--l", "2", "--expr", "True")
+    assert_one_error_line(code, out, err, "only integer constants allowed")
+    code, out, err = run(capsys, "oracle", "--l", "2", "--expr", "z**True")
+    assert_one_error_line(code, out, err, "exponents must be integer literals")
 
 
 def test_env_prime_override(monkeypatch, capsys):

@@ -13,12 +13,11 @@ from spinalg.modules import (
     TensorSource,
     check_well_defined,
     cokernel_length,
-    graded_dims,
     make_module,
     monomial_basis,
 )
 from spinalg.products import power_map, product_map, sym_power_map
-from spinalg.ring import NodeRing, TMode
+from spinalg.ring import NodeRing
 
 
 def ring(l: int, p: int = 97) -> NodeRing:
@@ -187,15 +186,6 @@ def test_monomial_basis_shape():
     assert monomial_basis(free, 0) == ((1, 0),)
 
 
-def test_graded_dims_at_zero():
-    r4 = ring(4)
-    m13 = make_module(r4, 1, 3)
-    dims = graded_dims(m13, TMode.specialized(0), 3)
-    assert dims == [2, 2, 2, 2]
-    with pytest.raises(ValueError):
-        graded_dims(m13, TMode.generic(), 3)
-
-
 def test_cokernel_length_frozen_cases():
     # r = 2: top power map squares M(1,1) down to the free tier
     r2 = ring(2, p=5)
@@ -228,11 +218,3 @@ def test_cokernel_length_non_monomial_graded_map():
         gm = GeneratorMap(LinearSource(free), free, {1: free.element(f)})
         assert cokernel_length(gm) == length
 
-
-def test_cokernel_requires_specialized_zero():
-    r2 = ring(2, p=5)
-    gm = power_map(r2, 2, 2, 1, 1, 1)
-    with pytest.raises(ValueError):
-        cokernel_length(gm, TMode.generic())
-    with pytest.raises(ValueError):
-        cokernel_length(gm, TMode.specialized(1))

@@ -16,7 +16,7 @@ from spinalg.products import (
     sym_power_map,
     tier_module,
 )
-from spinalg.ring import NodeRing, TMode
+from spinalg.ring import NodeRing
 
 
 def ring(l: int, p: int = 97) -> NodeRing:
@@ -208,14 +208,14 @@ def test_automorphism_orders():
     m13 = make_module(r4, 1, 3)
     generic = automorphisms(m13, 2)
     assert generic.order == 2 and generic.diagonal
-    smoothing = automorphisms(m13, 2, TMode.specialized(1))
+    smoothing = automorphisms(m13, 2, 1)
     assert smoothing.order == 2
-    nodal_disc = automorphisms(m13, 2, TMode.specialized(0), disconnected=True)
+    nodal_disc = automorphisms(m13, 2, 0, disconnected=True)
     assert nodal_disc.order == 4 and not nodal_disc.diagonal
-    nodal_conn = automorphisms(m13, 2, TMode.specialized(0), disconnected=False)
+    nodal_conn = automorphisms(m13, 2, 0, disconnected=False)
     assert nodal_conn.order == 2
     free = make_module(r4, 0, 0)
-    free_disc = automorphisms(free, 2, TMode.specialized(0), disconnected=True)
+    free_disc = automorphisms(free, 2, 0, disconnected=True)
     assert free_disc.order == 2
 
 
@@ -223,7 +223,7 @@ def test_automorphism_pairs_are_roots():
     field = FieldConfig.for_level(6)  # p = 7
     r6 = NodeRing(field, 6)
     m15 = make_module(r6, 1, 5)
-    group = automorphisms(m15, 3, TMode.specialized(0), disconnected=True)
+    group = automorphisms(m15, 3, 0, disconnected=True)
     assert group.order == 9
     for h, s in group.pairs:
         assert pow(h, 3, 7) == 1 and pow(s, 3, 7) == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinalg.field import FieldConfig
-from spinalg.ring import GENERIC, LaurentRing, NodeRing, TMode
+from spinalg.ring import LaurentRing, NodeRing
 
 
 def ring(l: int, p: int = 97) -> NodeRing:
@@ -35,7 +35,7 @@ def test_mixed_monomials_never_survive():
 def test_specialize_frozen_example():
     r2 = NodeRing(FieldConfig(5, 1), 2)
     a = r2.x() * r2.y()  # t^2
-    out = a.specialize(TMode.specialized(3))
+    out = a.specialize(3)
     assert out == r2.const(9 % 5)
     assert out == r2.const(4)
 
@@ -43,8 +43,7 @@ def test_specialize_frozen_example():
 def test_specialize_at_zero_kills_t():
     r3 = ring(3)
     a = r3.t() + r3.x()
-    assert a.specialize(TMode.specialized(0)) == r3.x()
-    assert a.specialize(GENERIC) == a
+    assert a.specialize(0) == r3.x()
 
 
 def test_localize_frozen_example():
@@ -69,13 +68,6 @@ def test_zero_and_equality():
     assert r2.const(3) == 3 and 3 in {r2.const(3)} and 0 in {r2.zero()}
     lr = LaurentRing(r2.field, "x")
     assert lr.const(3) == 3 and 3 in {lr.const(3)} and 0 in {lr.zero()}
-
-
-def test_tmode():
-    assert TMode.generic().is_generic
-    assert not TMode.specialized(0).is_generic
-    assert TMode.specialized(2) == TMode.specialized(2)
-    assert TMode.specialized(2) != TMode.specialized(3)
 
 
 coeffs = st.integers(min_value=-10, max_value=10)
@@ -106,10 +98,9 @@ def test_specialize_respects_products(da, db, l, c):
     # products of specialized representatives may recreate t through the
     # node rewrite, so compare after one more evaluation pass
     r = ring(l, p=5)
-    mode = TMode.specialized(c)
     a, b = build(r, da), build(r, db)
-    lhs = (a * b).specialize(mode)
-    rhs = (a.specialize(mode) * b.specialize(mode)).specialize(mode)
+    lhs = (a * b).specialize(c)
+    rhs = (a.specialize(c) * b.specialize(c)).specialize(c)
     assert lhs == rhs
 
 
