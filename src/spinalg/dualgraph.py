@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .twists import TwistData, balanced_partner, index_from_twist
+from .twists import balanced_partner
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,6 @@ class TwistAssignment:
     r: int
     leg_twists: tuple[int, ...]
     edge_twists: tuple[tuple[int, int], ...]
-
-    def leg_data(self) -> tuple[TwistData, ...]:
-        return tuple(index_from_twist(k, self.r) for k in self.leg_twists)
-
-    def edge_data(self) -> tuple[tuple[TwistData, TwistData], ...]:
-        return tuple((index_from_twist(k1, self.r), index_from_twist(k2, self.r))
-                     for k1, k2 in self.edge_twists)
 
 
 def vertex_degree_test(graph: DualGraph, vid: str, assignment: TwistAssignment) -> bool:

@@ -53,14 +53,3 @@ def balanced_partner(k: int, r: int) -> int:
         raise ValueError(f"twist must satisfy 0 <= k < r; got k={k}")
     return (r - k) % r
 
-
-def marking_twist(power: int, l: int, b: int, r: int) -> int:
-    """Least nonnegative twist k with k = -power * b * (r/l)  (mod r).
-
-    This is the twist forced at a marking where the chosen local sheaf
-    exponent is `power` and the node data is (l, b) at level r.
-    """
-    if l < 1 or r % l != 0:
-        raise ValueError(f"l must divide r; got l={l}, r={r}")
-    return (-power * b * (r // l)) % r
-

@@ -1,22 +1,24 @@
 """Property suites shared by the command line and the acceptance tests.
 
-Each suite returns a SuiteResult with a deterministic case count and the
-failure descriptions it collected, so the same code backs `spinalg
-verify-algebra` and the test suite.  Randomized suites draw from a
-seeded generator; nothing here depends on hash order or wall time.
+Each suite yields one entry per case: None, or a failure description.
+`SUITES` gives every suite its report name and its scale in `max_r`, and
+`Suite.run` counts and collects, for `spinalg verify-algebra` and the
+tests alike.  Randomized suites draw from a seeded generator; nothing
+here depends on hash order or wall time.
 """
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iproduct
 from math import gcd
+from typing import NamedTuple
 
 from .dualgraph import (
     DualGraph,
     deformation_dimension,
     enumerate_assignments,
-    graph_genus,
     spin_chi,
     stability_check,
 )
@@ -42,6 +44,8 @@ from .products import (
 from .resolution import resolution_exact_check
 from .ring import LaurentRing, NodeRing
 
+Cases = Iterator[str | None]
+
 
 @dataclass
 class SuiteResult:
@@ -56,10 +60,6 @@ class SuiteResult:
         if self.failures:
             out += "".join(f"\n  - {msg}" for msg in self.failures[:10])
         return out
-
-
-def _result(name: str, cases: int, failures: list[str]) -> SuiteResult:
-    return SuiteResult(name, not failures, cases, failures)
 
 
 def _modules_over(ring: NodeRing) -> list[ModulePresentation]:
@@ -80,6 +80,19 @@ def _ring(l: int) -> NodeRing:
     return NodeRing(FieldConfig(97, 1), l)
 
 
+def _divisors(n: int):
+    return (d for d in range(1, n + 1) if n % d == 0)
+
+
+def _tiers(max_r: int):
+    """(r, l, ring, i_top, j_top) for every r <= max_r, l | r and top pair over l."""
+    for r in range(1, max_r + 1):
+        for l in _divisors(r):
+            ring = _ring(l)
+            for i_top, j_top in _top_pairs(l):
+                yield r, l, ring, i_top, j_top
+
+
 # -- ring laws -----------------------------------------------------------
 
 # Random ring-law cases per level, and the seed that draws them.
@@ -95,83 +108,71 @@ def _random_element(ring: NodeRing, rng: random.Random):
     return ring.from_terms(terms)
 
 
-def suite_ring_laws(max_l: int = 8) -> SuiteResult:
+def suite_ring_laws(max_l: int) -> Cases:
     """Commutative-ring axioms and evaluation homomorphisms on random triples."""
-    failures = []
-    cases = 0
     rng = random.Random(RING_SEED)
     for l in range(1, max_l + 1):
         ring = _ring(l)
         t0 = rng.randrange(ring.field.p)
         for _ in range(RING_CASES_PER_L):
-            a, b, c = (_random_element(ring, rng) for _ in range(3))
-            cases += 1
-            if (a + b) + c != a + (b + c) or a + b != b + a:
-                failures.append(f"l={l}: addition laws fail on {a}, {b}, {c}")
-                continue
-            if (a * b) * c != a * (b * c) or a * b != b * a:
-                failures.append(f"l={l}: multiplication laws fail on {a}, {b}, {c}")
-                continue
-            if a * (b + c) != a * b + a * c:
-                failures.append(f"l={l}: distributivity fails on {a}, {b}, {c}")
-                continue
-            # products of specialized representatives can recreate t through
-            # x*y -> t^l, so compare after one more evaluation pass
-            if (a * b).specialize(t0) != (a.specialize(t0) * b.specialize(t0)).specialize(t0):
-                failures.append(f"l={l}: specialize is not multiplicative on {a}, {b}")
-                continue
-            if (a * b).localize("x") != a.localize("x") * b.localize("x"):
-                failures.append(f"l={l}: localization is not multiplicative on {a}, {b}")
-                continue
-            if a * ring.x() * ring.y() != a * ring.t(l):
-                failures.append(f"l={l}: node relation fails on {a}")
-    return _result("ring-laws", cases, failures)
+            yield _ring_law_failure(ring, t0, *(_random_element(ring, rng) for _ in range(3)))
+
+
+def _ring_law_failure(ring: NodeRing, t0: int, a, b, c) -> str | None:
+    """The first ring law that fails on the triple, or None."""
+    l = ring.l
+    if (a + b) + c != a + (b + c) or a + b != b + a:
+        return f"l={l}: addition laws fail on {a}, {b}, {c}"
+    if (a * b) * c != a * (b * c) or a * b != b * a:
+        return f"l={l}: multiplication laws fail on {a}, {b}, {c}"
+    if a * (b + c) != a * b + a * c:
+        return f"l={l}: distributivity fails on {a}, {b}, {c}"
+    # products of specialized representatives can recreate t through
+    # x*y -> t^l, so compare after one more evaluation pass
+    if (a * b).specialize(t0) != (a.specialize(t0) * b.specialize(t0)).specialize(t0):
+        return f"l={l}: specialize is not multiplicative on {a}, {b}"
+    if (a * b).localize("x") != a.localize("x") * b.localize("x"):
+        return f"l={l}: localization is not multiplicative on {a}, {b}"
+    if a * ring.x() * ring.y() != a * ring.t(l):
+        return f"l={l}: node relation fails on {a}"
+    return None
 
 
 # -- product well-definedness --------------------------------------------
 
 
-def suite_well_definedness(max_l: int = 10) -> SuiteResult:
+def suite_well_definedness(max_l: int) -> Cases:
     """Product and power maps respect the presentations; broken images do not."""
-    failures = []
-    cases = 0
     for l in range(1, max_l + 1):
-        ring = _ring(l)
-        mods = _modules_over(ring)
+        mods = _modules_over(_ring(l))
         for a in mods:
             for b in mods:
                 pm = product_map(a, b)
-                cases += 1
                 bad = check_well_defined(pm)
                 if bad is not None:
-                    failures.append(f"l={l}: product {a!r} x {b!r}: {bad!r}")
+                    yield f"l={l}: product {a!r} x {b!r}: {bad!r}"
                     continue
-                cases += _perturbation_cases(pm, failures, f"l={l} {a!r}x{b!r}")
+                yield None
+                yield from _perturbations(pm, f"l={l} {a!r}x{b!r}")
                 # the transcription with the two middle t-exponents swapped
                 if not a.is_free and not b.is_free and a.i != b.i and a.i + b.i != l:
                     swapped = dict(pm.images)
                     swapped[(1, 2)], swapped[(2, 1)] = pm.images[(2, 1)], pm.images[(1, 2)]
                     gm = GeneratorMap(TensorSource(a, b), pm.target, swapped)
-                    cases += 1
-                    if check_well_defined(gm) is None:
-                        failures.append(f"l={l}: swapped images pass for {a!r} x {b!r}")
+                    yield (None if check_well_defined(gm) is not None else
+                           f"l={l}: swapped images pass for {a!r} x {b!r}")
         for pres in mods:
             for m in range(1, 5):
-                gm = sym_power_map(pres, m)
-                cases += 1
-                bad = check_well_defined(gm)
-                if bad is not None:
-                    failures.append(f"l={l}: Sym^{m} {pres!r}: {bad!r}")
-    return _result("well-definedness", cases, failures)
+                bad = check_well_defined(sym_power_map(pres, m))
+                yield None if bad is None else f"l={l}: Sym^{m} {pres!r}: {bad!r}"
 
 
-def _perturbation_cases(gmap: GeneratorMap, failures: list[str], label: str) -> int:
+def _perturbations(gmap: GeneratorMap, label: str) -> Cases:
     """Adding a nonzero constant to any single image coefficient must break the map."""
     src = gmap.source
     if not src.relations():
-        return 0  # nothing to break
+        return  # nothing to break
     ring = gmap.target.ring
-    count = 0
     for key, img in gmap.images.items():
         for part, mono in (("f", next(iter(img.f.terms), None)),
                            ("g", next(iter(img.g.terms), None))):
@@ -184,18 +185,14 @@ def _perturbation_cases(gmap: GeneratorMap, failures: list[str], label: str) -> 
             else:
                 images[key] = gmap.target.element(img.f, img.g + bump)
             gm = GeneratorMap(src, gmap.target, images)
-            count += 1
-            if check_well_defined(gm) is None:
-                failures.append(f"{label}: perturbed image {key}.{part} still passes")
-    return count
+            yield (None if check_well_defined(gm) is not None else
+                   f"{label}: perturbed image {key}.{part} still passes")
 
 
 # -- commutativity and associativity -------------------------------------
 
 
-def suite_commutativity(max_l: int = 10) -> SuiteResult:
-    failures = []
-    cases = 0
+def suite_commutativity(max_l: int) -> Cases:
     for l in range(1, max_l + 1):
         mods = _modules_over(_ring(l))
         for a in mods:
@@ -203,16 +200,11 @@ def suite_commutativity(max_l: int = 10) -> SuiteResult:
                 ab, ba = product_map(a, b), product_map(b, a)
                 for ka in a.generator_keys:
                     for kb in b.generator_keys:
-                        cases += 1
-                        if ab.images[(ka, kb)] != ba.images[(kb, ka)]:
-                            failures.append(
-                                f"l={l}: {a!r} x {b!r} keys ({ka},{kb}) disagree with the flip")
-    return _result("commutativity", cases, failures)
+                        yield (None if ab.images[(ka, kb)] == ba.images[(kb, ka)] else
+                               f"l={l}: {a!r} x {b!r} keys ({ka},{kb}) disagree with the flip")
 
 
-def suite_associativity(max_l: int = 6) -> SuiteResult:
-    failures = []
-    cases = 0
+def suite_associativity(max_l: int) -> Cases:
     for l in range(1, max_l + 1):
         mods = _modules_over(_ring(l))
         for a in mods:
@@ -229,99 +221,71 @@ def suite_associativity(max_l: int = 6) -> SuiteResult:
                             left_part = ab.apply(ga, gb)
                             for kc in c.generator_keys:
                                 gc = c.generator(kc)
-                                cases += 1
                                 left = ab_c.apply(left_part, gc)
                                 right = a_bc.apply(ga, bc.apply(gb, gc))
-                                if left != right:
-                                    failures.append(
-                                        f"l={l}: associativity fails on {a!r},{b!r},{c!r} "
-                                        f"keys ({ka},{kb},{kc})")
-    return _result("associativity", cases, failures)
+                                yield (None if left == right else
+                                       f"l={l}: associativity fails on {a!r},{b!r},{c!r} "
+                                       f"keys ({ka},{kb},{kc})")
 
 
 # -- power coherence ------------------------------------------------------
 
 
 def _divisor_chains(r: int):
-    divs = [d for d in range(1, r + 1) if r % d == 0]
-    for d in divs:
-        for e in divs:
-            if d % e == 0:
-                yield d, e
+    divs = list(_divisors(r))
+    return ((d, e) for d in divs for e in divs if d % e == 0)
 
 
-def suite_power_coherence(max_r: int = 12) -> SuiteResult:
+def suite_power_coherence(max_r: int) -> Cases:
     """Direct tier powers equal iterated binary products and compose correctly."""
-    failures = []
-    cases = 0
-    for r in range(1, max_r + 1):
-        for l in (d for d in range(1, r + 1) if r % d == 0):
-            ring = _ring(l)
-            for i_top, j_top in _top_pairs(l):
-                top = make_module(ring, i_top, j_top)
-                grades = {n: top.grade(n) for n in range(0, r + 1)}
-                for d, e in _divisor_chains(r):
-                    direct = power_map(ring, r, d, e, i_top, j_top)
-                    n = r // d
-                    m = d // e
-                    source = grades[n]
-                    for key in direct.images:
-                        cases += 1
-                        factors = ([source.generator(1)] * m if source.is_free else
-                                   [source.generator(1)] * (m - key) + [source.generator(2)] * key)
-                        acc = factors[0]
-                        for s in range(1, m):
-                            acc = product_map(grades[n * s], source).apply(acc, factors[s])
-                        if acc != direct.images[key]:
-                            failures.append(
-                                f"r={r} l={l} top=({i_top},{j_top}) d={d} e={e}: "
-                                f"iterated product differs at key {key}")
-                for d2, d1 in _divisor_chains(r):
-                    for d0 in (dd for dd in range(1, d1 + 1) if d1 % dd == 0):
-                        cases += 1
-                        if not compatibility_check(ring, r, d2, d1, d0, i_top, j_top):
-                            failures.append(
-                                f"r={r} l={l} top=({i_top},{j_top}): "
-                                f"composition {d2}->{d1}->{d0} mismatches")
-    return _result("power-coherence", cases, failures)
+    for r, l, ring, i_top, j_top in _tiers(max_r):
+        top = make_module(ring, i_top, j_top)
+        grades = {n: top.grade(n) for n in range(0, r + 1)}
+        for d, e in _divisor_chains(r):
+            direct = power_map(ring, r, d, e, i_top, j_top)
+            n = r // d
+            m = d // e
+            source = grades[n]
+            for key in direct.images:
+                factors = ([source.generator(1)] * m if source.is_free else
+                           [source.generator(1)] * (m - key) + [source.generator(2)] * key)
+                acc = factors[0]
+                for s in range(1, m):
+                    acc = product_map(grades[n * s], source).apply(acc, factors[s])
+                yield (None if acc == direct.images[key] else
+                       f"r={r} l={l} top=({i_top},{j_top}) d={d} e={e}: "
+                       f"iterated product differs at key {key}")
+        for d2, d1 in _divisor_chains(r):
+            for d0 in _divisors(d1):
+                yield (None if compatibility_check(ring, r, d2, d1, d0, i_top, j_top) else
+                       f"r={r} l={l} top=({i_top},{j_top}): "
+                       f"composition {d2}->{d1}->{d0} mismatches")
 
 
 # -- cokernel law ---------------------------------------------------------
 
 
-def suite_cokernel(max_r: int = 12) -> SuiteResult:
+def suite_cokernel(max_r: int) -> Cases:
     """Tier-map cokernel length is d/e - 1 off the free locus and 0 on it."""
-    failures = []
-    cases = 0
     cache: dict = {}
-    for r in range(1, max_r + 1):
-        for l in (d for d in range(1, r + 1) if r % d == 0):
-            ring = _ring(l)
-            for i_top, j_top in _top_pairs(l):
-                for d, e in _divisor_chains(r):
-                    source = tier_module(ring, i_top, j_top, r, d)
-                    key = (l, source.i, source.j, d // e)
-                    cases += 1
-                    if key in cache:
-                        length = cache[key]
-                    else:
-                        length = cokernel_length(power_map(ring, r, d, e, i_top, j_top))
-                        cache[key] = length
-                    expected = 0 if source.is_free else d // e - 1
-                    if length != expected:
-                        failures.append(
-                            f"r={r} l={l} top=({i_top},{j_top}) d={d} e={e}: "
-                            f"length {length}, expected {expected}")
-    return _result("cokernel-length", cases, failures)
+    for r, l, ring, i_top, j_top in _tiers(max_r):
+        for d, e in _divisor_chains(r):
+            source = tier_module(ring, i_top, j_top, r, d)
+            key = (l, source.i, source.j, d // e)
+            if key not in cache:
+                cache[key] = cokernel_length(power_map(ring, r, d, e, i_top, j_top))
+            length = cache[key]
+            expected = 0 if source.is_free else d // e - 1
+            yield (None if length == expected else
+                   f"r={r} l={l} top=({i_top},{j_top}) d={d} e={e}: "
+                   f"length {length}, expected {expected}")
 
 
 # -- localization ---------------------------------------------------------
 
 
-def suite_localized(max_l: int = 10) -> SuiteResult:
+def suite_localized(max_l: int) -> Cases:
     """After inverting x or y, every product is multiplication by a unit monomial."""
-    failures = []
-    cases = 0
     for l in range(1, max_l + 1):
         ring = _ring(l)
         mods = _modules_over(ring)
@@ -335,77 +299,65 @@ def suite_localized(max_l: int = 10) -> SuiteResult:
                     else:
                         overflow, rem = divmod(a.j + b.j - pm.target.j, l)
                     if rem or overflow < 0:
-                        cases += 1
-                        failures.append(f"l={l} {a!r}x{b!r}: unit exponent at {var} is not a nonnegative integer")
+                        yield f"l={l} {a!r}x{b!r}: unit exponent at {var} is not a nonnegative integer"
                         continue
                     unit = LaurentRing(ring.field, var).monomial(1, overflow, 0)
                     for ka in a.generator_keys:
                         for kb in b.generator_keys:
-                            cases += 1
                             lhs = pm.images[(ka, kb)].localized_coefficient(var)
                             rhs = (unit
                                    * a.generator(ka).localized_coefficient(var)
                                    * b.generator(kb).localized_coefficient(var))
-                            if lhs != rhs:
-                                failures.append(
-                                    f"l={l} {a!r}x{b!r} at {var}, keys ({ka},{kb}): "
-                                    f"{lhs} != {rhs}")
-    return _result("localized-products", cases, failures)
+                            yield (None if lhs == rhs else
+                                   f"l={l} {a!r}x{b!r} at {var}, keys ({ka},{kb}): "
+                                   f"{lhs} != {rhs}")
 
 
 # -- duality ---------------------------------------------------------------
 
 
-def suite_duality(max_l: int = 10) -> SuiteResult:
+def suite_duality(max_l: int) -> Cases:
     """The pairing with the flipped module is well defined and unimodular off the node."""
-    failures = []
-    cases = 0
     for l in range(1, max_l + 1):
         ring = _ring(l)
         t, x, y = ring.t, ring.x, ring.y
         for pres in _modules_over(ring):
             pairing = dual_pairing(pres)
-            cases += 1
             if not pairing.target.is_free:
-                failures.append(f"l={l} {pres!r}: pairing misses the free module")
+                yield f"l={l} {pres!r}: pairing misses the free module"
                 continue
             if check_well_defined(pairing) is not None:
-                failures.append(f"l={l} {pres!r}: pairing not well defined")
+                yield f"l={l} {pres!r}: pairing not well defined"
                 continue
+            yield None
             sigma = pairing.target.generator(1)
             if not pres.is_free:
                 # the frozen pairing matrix ((x, t^i), (t^j, y))
                 want = {(1, 1): x() * sigma, (1, 2): t(pres.i) * sigma,
                         (2, 1): t(pres.j) * sigma, (2, 2): y() * sigma}
-                cases += 1
-                if pairing.images != want:
-                    failures.append(f"l={l} {pres!r}: pairing matrix differs from ((x,t^i),(t^j,y))")
+                yield (None if pairing.images == want else
+                       f"l={l} {pres!r}: pairing matrix differs from ((x,t^i),(t^j,y))")
             # perfectness off the node: localization kills one generator on
             # each side, and the surviving pair must evaluate to a unit
             for var, key in (("x", 1), ("y", 2 if not pres.is_free else 1)):
-                cases += 1
                 value = pairing.images[(key, key)].localized_coefficient(var)
                 mono = value.as_unit_monomial()
-                if mono is None or mono[0] % ring.field.p == 0:
-                    failures.append(
-                        f"l={l} {pres!r}: localized pairing value {value} is not a unit at {var}")
-    return _result("duality", cases, failures)
+                yield (None if mono is not None and mono[0] % ring.field.p != 0 else
+                       f"l={l} {pres!r}: localized pairing value {value} is not a unit at {var}")
 
 
 # -- automorphisms ----------------------------------------------------------
 
 
-def suite_automorphisms(max_r: int = 12) -> SuiteResult:
+def suite_automorphisms(max_r: int) -> Cases:
     """Scaling symmetry orders: e on connected branches, e^2 at a separating node."""
-    failures = []
-    cases = 0
     for r in range(1, max_r + 1):
         field = FieldConfig.for_level(r)
-        for l in (d for d in range(1, r + 1) if r % d == 0):
+        for l in _divisors(r):
             ring = NodeRing(field, l)
             for i_top, j_top in _top_pairs(l):
                 pres = make_module(ring, i_top, j_top)
-                for e in (d for d in range(1, r + 1) if r % d == 0):
+                for e in _divisors(r):
                     split = e if pres.is_free else e * e
                     # (label, t or None, disconnected, expected order, must be diagonal)
                     for label, t, disconnected, expected, diagonal in (
@@ -413,28 +365,21 @@ def suite_automorphisms(max_r: int = 12) -> SuiteResult:
                             ("t=1", 1, True, e, True),
                             ("t=0 disconnected", 0, True, split, False),
                             ("t=0 connected", 0, False, e, True)):
-                        cases += 1
                         group = automorphisms(pres, e, t, disconnected)
-                        if group.order != expected or (diagonal and not group.diagonal):
-                            failures.append(
-                                f"r={r} l={l} ({i_top},{j_top}) e={e}: {label} group "
-                                f"order {group.order}, expected {expected}"
-                                + ("" if group.diagonal else " (not diagonal)"))
-    return _result("automorphisms", cases, failures)
+                        yield (None if group.order == expected and (group.diagonal or not diagonal)
+                               else f"r={r} l={l} ({i_top},{j_top}) e={e}: {label} group "
+                               f"order {group.order}, expected {expected}"
+                               + ("" if group.diagonal else " (not diagonal)"))
 
 
 # -- resolution --------------------------------------------------------------
 
 
-def suite_resolution(max_degree: int = 8) -> SuiteResult:
-    failures = []
-    cases = 0
+def suite_resolution(max_degree: int) -> Cases:
     for p in (5, 7, 13):
         for bound in range(max_degree + 1):
-            cases += 1
-            if not resolution_exact_check(FieldConfig(p, 1), bound):
-                failures.append(f"p={p}: resolution fails by degree {bound}")
-    return _result("resolution-exactness", cases, failures)
+            yield (None if resolution_exact_check(FieldConfig(p, 1), bound) else
+                   f"p={p}: resolution fails by degree {bound}")
 
 
 # -- stratum enumeration ------------------------------------------------------
@@ -520,30 +465,23 @@ def _brute_force_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> li
     return found
 
 
-def suite_enumeration(max_r: int = 6) -> SuiteResult:
+def suite_enumeration(max_r: int) -> Cases:
     """Stratum enumeration matches a brute-force oracle on the graph family."""
-    failures = []
-    cases = 0
-    family = _graph_family()
-    for graph in family:
+    for graph in _graph_family():
         n = graph.n_markings
         for r in range(2, max_r + 1):
             for m in iproduct(range(r), repeat=n):
-                cases += 1
                 got = [a.edge_twists for a in enumerate_assignments(graph, r, m)]
                 want = _brute_force_assignments(graph, r, m)
-                if got != want:
-                    failures.append(
-                        f"graph V={len(graph.vertices)} E={len(graph.edges)} "
-                        f"legs={n} r={r} m={m}: {len(got)} vs {len(want)} assignments")
+                yield (None if got == want else
+                       f"graph V={len(graph.vertices)} E={len(graph.edges)} "
+                       f"legs={n} r={r} m={m}: {len(got)} vs {len(want)} assignments")
     # the worked one-vertex loop example
     loop = DualGraph((("v0", 0),), (("v0", "v0"),), (("v0", 1),))
     for m, expected in (((1,), 2), ((0,), 0)):
-        cases += 1
         count = len(enumerate_assignments(loop, 2, m))
-        if count != expected:
-            failures.append(f"loop graph r=2 m={m}: {count} assignments, expected {expected}")
-    return _result("stratum-enumeration", cases, failures)
+        yield (None if count == expected else
+               f"loop graph r=2 m={m}: {count} assignments, expected {expected}")
 
 
 # -- closed forms --------------------------------------------------------------
@@ -606,81 +544,82 @@ DIMENSION_CASES: tuple = (
 )
 
 
-def suite_closed_forms() -> SuiteResult:
+def suite_closed_forms() -> Cases:
     """Euler characteristics and stratum dimensions on a frozen 50-case table."""
-    failures = []
-    cases = 0
     for g, n, r, m, expected in CHI_CASES:
-        cases += 1
         got = spin_chi(g, n, r, m)
-        if got != expected:
-            failures.append(f"chi({g},{n},{r},{m}) = {got}, expected {expected}")
+        yield None if got == expected else f"chi({g},{n},{r},{m}) = {got}, expected {expected}"
     for g, n, u, expected in DIMENSION_CASES:
-        cases += 1
         got = deformation_dimension(g, n, u)
-        if got != expected:
-            failures.append(f"dimension({g},{n},u={u}) = {got}, expected {expected}")
-    return _result("closed-forms", cases, failures)
+        yield (None if got == expected else
+               f"dimension({g},{n},u={u}) = {got}, expected {expected}")
 
 
 # -- oracle agreement ------------------------------------------------------------
 
 
-def suite_oracle_agreement(max_l: int = 10, max_r: int = 12) -> SuiteResult:
+def suite_oracle_agreement(max_r: int) -> Cases:
     """Every product and power image re-derives from the covering-chart model."""
-    failures = []
-    cases = 0
-    for l in range(1, max_l + 1):
-        ring = _ring(l)
-        mods = _modules_over(ring)
+    for l in range(1, max_r + 1):
+        mods = _modules_over(_ring(l))
         for a in mods:
             for b in mods:
                 pm = product_map(a, b)
                 want = oracle_product_images(a, b, pm.target)
                 for key in pm.images:
-                    cases += 1
-                    if pm.images[key] != want[key]:
-                        failures.append(f"l={l} {a!r}x{b!r} key {key}: oracle disagrees")
+                    yield (None if pm.images[key] == want[key] else
+                           f"l={l} {a!r}x{b!r} key {key}: oracle disagrees")
         for pres in mods:
             for m in range(1, 5):
                 gm = sym_power_map(pres, m)
                 want = oracle_sym_power_images(pres, m, gm.target)
                 for key in gm.images:
-                    cases += 1
-                    if gm.images[key] != want[key]:
-                        failures.append(f"l={l} Sym^{m} {pres!r} key {key}: oracle disagrees")
-    for r in range(1, max_r + 1):
-        for l in (d for d in range(1, r + 1) if r % d == 0):
-            ring = _ring(l)
-            for i_top, j_top in _top_pairs(l):
-                for d, e in _divisor_chains(r):
-                    gm = power_map(ring, r, d, e, i_top, j_top)
-                    source = tier_module(ring, i_top, j_top, r, d)
-                    want = oracle_sym_power_images(source, d // e, gm.target)
-                    for key in gm.images:
-                        cases += 1
-                        if gm.images[key] != want[key]:
-                            failures.append(
-                                f"r={r} l={l} ({i_top},{j_top}) {d}->{e} key {key}: "
-                                f"oracle disagrees")
-    return _result("oracle-agreement", cases, failures)
+                    yield (None if gm.images[key] == want[key] else
+                           f"l={l} Sym^{m} {pres!r} key {key}: oracle disagrees")
+    for r, l, ring, i_top, j_top in _tiers(max_r):
+        for d, e in _divisor_chains(r):
+            gm = power_map(ring, r, d, e, i_top, j_top)
+            source = tier_module(ring, i_top, j_top, r, d)
+            want = oracle_sym_power_images(source, d // e, gm.target)
+            for key in gm.images:
+                yield (None if gm.images[key] == want[key] else
+                       f"r={r} l={l} ({i_top},{j_top}) {d}->{e} key {key}: oracle disagrees")
 
 
-def run_all(max_r: int = 6) -> list[SuiteResult]:
-    """Run every suite scaled to the requested level bound."""
-    max_l = max(1, max_r)
-    return [
-        suite_ring_laws(max_l=min(max_l, 8)),
-        suite_well_definedness(max_l=max_l),
-        suite_commutativity(max_l=max_l),
-        suite_associativity(max_l=min(max_l, 6)),
-        suite_power_coherence(max_r=max_r),
-        suite_cokernel(max_r=max_r),
-        suite_localized(max_l=max_l),
-        suite_duality(max_l=max_l),
-        suite_automorphisms(max_r=max_r),
-        suite_resolution(max_degree=8),
-        suite_enumeration(max_r=min(max_r, 6)),
-        suite_closed_forms(),
-        suite_oracle_agreement(max_l=max_l, max_r=max_r),
-    ]
+# -- the suite table ---------------------------------------------------------------
+
+
+class Suite(NamedTuple):
+    """A report name, the case generator, and its arguments as a function of max_r."""
+
+    name: str
+    generate: Callable[..., Cases]
+    scale: Callable[[int], tuple]
+
+    def run(self, max_r: int) -> SuiteResult:
+        """Count the cases at scale max_r and collect their failures."""
+        outcomes = list(self.generate(*self.scale(max_r)))
+        failures = [msg for msg in outcomes if msg is not None]
+        return SuiteResult(self.name, not failures, len(outcomes), failures)
+
+
+SUITES: tuple[Suite, ...] = (
+    Suite("ring-laws", suite_ring_laws, lambda max_r: (min(max_r, 8),)),
+    Suite("well-definedness", suite_well_definedness, lambda max_r: (max_r,)),
+    Suite("commutativity", suite_commutativity, lambda max_r: (max_r,)),
+    Suite("associativity", suite_associativity, lambda max_r: (min(max_r, 6),)),
+    Suite("power-coherence", suite_power_coherence, lambda max_r: (max_r,)),
+    Suite("cokernel-length", suite_cokernel, lambda max_r: (max_r,)),
+    Suite("localized-products", suite_localized, lambda max_r: (max_r,)),
+    Suite("duality", suite_duality, lambda max_r: (max_r,)),
+    Suite("automorphisms", suite_automorphisms, lambda max_r: (max_r,)),
+    Suite("resolution-exactness", suite_resolution, lambda max_r: (8,)),
+    Suite("stratum-enumeration", suite_enumeration, lambda max_r: (min(max_r, 6),)),
+    Suite("closed-forms", suite_closed_forms, lambda max_r: ()),
+    Suite("oracle-agreement", suite_oracle_agreement, lambda max_r: (max_r,)),
+)
+
+
+def run_all(max_r: int) -> list[SuiteResult]:
+    """Run every suite of SUITES scaled to the level bound max_r >= 1."""
+    return [suite.run(max_r) for suite in SUITES]

@@ -1,8 +1,8 @@
-"""Acceptance gate: every required property at its stated scale.
+"""Acceptance gate: every suite of `verify.SUITES` at the scale of `--max-r 12`.
 
-Each test runs one verification suite at the agreed bound, prints a
-single pass/fail line, and asserts exact success.  The two long suites
-also carry runtime ceilings.
+Each criterion runs its suites exactly as `spinalg verify-algebra --max-r 12`
+does, prints a single pass/fail line per suite, and asserts exact success.
+The two long suites also carry runtime ceilings.
 """
 from __future__ import annotations
 
@@ -10,69 +10,76 @@ import time
 
 from spinalg import verify
 
+GATE_MAX_R = 12
 
-def _report(num: int, label: str, result: verify.SuiteResult, seconds: float | None = None):
+
+def _gate(num: int, name: str, ceiling: float | None = None) -> verify.SuiteResult:
+    (suite,) = [s for s in verify.SUITES if s.name == name]
+    start = time.perf_counter()
+    result = suite.run(GATE_MAX_R)
+    elapsed = time.perf_counter() - start
     status = "PASS" if result.passed else "FAIL"
-    tail = f" [{seconds:.1f}s]" if seconds is not None else ""
-    print(f"criterion {num} ({label}): {status} ({result.cases} cases){tail}")
-    if result.failures:
-        for line in result.failures[:5]:
-            print(f"  {line}")
+    print(f"criterion {num} ({name}): {status} ({result.cases} cases) [{elapsed:.1f}s]")
+    for line in result.failures[:5]:
+        print(f"  {line}")
     assert result.passed, f"criterion {num}: {result.failures[:3]}"
+    if ceiling is not None:
+        assert elapsed < ceiling, f"runtime target exceeded: {elapsed:.1f}s"
+    return result
+
+
+def test_every_suite_is_gated():
+    gated = {"well-definedness", "commutativity", "associativity", "power-coherence",
+             "cokernel-length", "localized-products", "automorphisms", "duality",
+             "resolution-exactness", "stratum-enumeration", "closed-forms",
+             "oracle-agreement", "ring-laws"}
+    assert {suite.name for suite in verify.SUITES} == gated
 
 
 def test_criterion_01_well_definedness():
-    start = time.perf_counter()
-    result = verify.suite_well_definedness(max_l=10)
-    elapsed = time.perf_counter() - start
-    _report(1, "well-definedness + documented negative", result, elapsed)
-    assert elapsed < 60.0, f"runtime target exceeded: {elapsed:.1f}s"
+    _gate(1, "well-definedness", ceiling=60.0)
 
 
 def test_criterion_02_commutativity_associativity():
-    com = verify.suite_commutativity(max_l=6)
-    _report(2, "commutativity", com)
-    ass = verify.suite_associativity(max_l=6)
-    _report(2, "associativity", ass)
+    _gate(2, "commutativity")
+    _gate(2, "associativity")
 
 
 def test_criterion_03_power_coherence():
-    start = time.perf_counter()
-    result = verify.suite_power_coherence(max_r=12)
-    elapsed = time.perf_counter() - start
-    _report(3, "power-map coherence + compatibility chains", result, elapsed)
-    assert elapsed < 120.0, f"runtime target exceeded: {elapsed:.1f}s"
+    _gate(3, "power-coherence", ceiling=120.0)
 
 
 def test_criterion_04_cokernel_lengths():
-    _report(4, "cokernel lengths d/e - 1", verify.suite_cokernel(max_r=12))
+    _gate(4, "cokernel-length")
 
 
 def test_criterion_05_localized_agreement():
-    _report(5, "localized products are unit multiples", verify.suite_localized(max_l=10))
+    _gate(5, "localized-products")
 
 
 def test_criterion_06_automorphism_orders():
-    _report(6, "automorphism orders e and e^2", verify.suite_automorphisms(max_r=12))
+    _gate(6, "automorphisms")
 
 
 def test_criterion_07_duality():
-    _report(7, "pairing perfect after localization", verify.suite_duality(max_l=10))
+    _gate(7, "duality")
 
 
 def test_criterion_08_resolution_exactness():
-    _report(8, "resolution exact through degree 8", verify.suite_resolution(max_degree=8))
+    _gate(8, "resolution-exactness")
 
 
 def test_criterion_09_enumeration_oracle():
-    _report(9, "stratum enumeration vs brute force", verify.suite_enumeration(max_r=6))
+    _gate(9, "stratum-enumeration")
 
 
 def test_criterion_10_closed_forms():
-    result = verify.suite_closed_forms()
-    assert result.cases == 50
-    _report(10, "50 frozen closed-form values", result)
+    assert _gate(10, "closed-forms").cases == 50
 
 
 def test_criterion_11_oracle_supremacy():
-    _report(11, "all images re-derived upstairs", verify.suite_oracle_agreement(max_l=10, max_r=12))
+    _gate(11, "oracle-agreement")
+
+
+def test_criterion_12_ring_laws():
+    _gate(12, "ring-laws")

@@ -23,7 +23,10 @@ LOOP_DOC = {
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses the argv before main's own checks
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -219,8 +222,12 @@ def test_argv_boundary_property(argv):
     (("chi", "0", "1", "2", "1"), "not stable"),
     (("verify-algebra", "--max-r", "0"), "--max-r"),
     (("verify-algebra", "--max-r", "-3"), "--max-r"),
+    (("local-model", "--r", "x", "--l", "2", "--i", "1"), "--r"),
+    (("oracle", "--l", "2", "--expr", "-z"), "--expr"),
+    (("verify-algebra", "--max-r"), "--max-r"),
 ], ids=["local-model-l-zero", "local-model-short-window", "chi-unstable", "verify-max-r-zero",
-        "verify-max-r-negative"])
+        "verify-max-r-negative", "local-model-r-not-int", "oracle-expr-leading-minus",
+        "verify-max-r-missing"])
 def test_bad_arguments_exit_with_one_line(capsys, argv, field):
     assert_one_error_line(*run(capsys, *argv), field)
 
@@ -315,6 +322,28 @@ def test_reports_are_byte_deterministic(tmp_path, capsys):
         _, out, _ = run(capsys, "verify-algebra", "--max-r", "2")
         outputs.add(out)
     assert len(outputs) == 2  # one distinct report per command
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# The files in tests/golden pin report bytes; rewrite one only when its report is meant
+# to change.  None in an argv stands for the path of LOOP_DOC on disk.
+GOLDEN_ARGV = {
+    "verify_algebra_max_r_3": ["verify-algebra", "--max-r", "3"],
+    "local_model_r12_l6_i5":
+        ["local-model", "--r", "12", "--l", "6", "--i", "5", "--tiers", "--products"],
+    "oracle_l3_b2": ["oracle", "--l", "3", "--b", "2", "--expr", "(z+w+S)**4 - 3*z*w + S**-2"],
+    "strata_loop": ["strata", None],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_ARGV)
+def test_reports_match_golden_files(tmp_path, capsys, name):
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(LOOP_DOC))
+    code, out, err = run(capsys, *(str(path) if arg is None else arg for arg in GOLDEN_ARGV[name]))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def test_unknown_subcommand_exits_one(capsys):

@@ -105,12 +105,3 @@ def test_assignment_count_deterministic():
     first = enumerate_assignments(g, 4, (1, 1))
     second = enumerate_assignments(g, 4, (1, 1))
     assert first == second
-
-
-def test_twist_data_views():
-    g = loop_graph()
-    (asg,) = [a for a in enumerate_assignments(g, 2, (1,)) if a.edge_twists[0][0] == 1]
-    (leg,) = asg.leg_data()
-    assert (leg.k, leg.l, leg.a, leg.b) == (1, 2, 1, 1)
-    ((h1, h2),) = asg.edge_data()
-    assert h1.l == 2 and h2.l == 2

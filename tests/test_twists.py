@@ -10,7 +10,6 @@ from spinalg.twists import (
     TwistData,
     balanced_partner,
     index_from_twist,
-    marking_twist,
 )
 
 
@@ -52,14 +51,6 @@ def test_balanced_partner():
     for r in (2, 3, 4, 6):
         for k in range(r):
             assert (k + balanced_partner(k, r)) % r == 0
-
-
-def test_marking_twist_inverts_character():
-    # power q at a marking of index l with character b twists by -q*b
-    # scaled up to the r-grid
-    assert marking_twist(1, 2, 1, 6) == 3
-    assert marking_twist(0, 3, 1, 6) == 0
-    assert marking_twist(2, 3, 2, 6) == 4
 
 
 def test_tier_twists():
