@@ -11,6 +11,7 @@ import ast
 import json
 import os
 import sys
+from functools import cache
 
 from . import verify
 from .dualgraph import (
@@ -174,10 +175,15 @@ def _cmd_strata(args) -> int:
     print(f"chi = {'non-integral' if chi is None else chi}")
     print(f"dimension (all nodes balanced): {deformation_dimension(g, n)}")
     print(f"assignments: {len(assignments)}")
+
+    @cache  # each twist's label once per report, and only the twists listed
+    def label(k: int) -> str:
+        return str(index_from_twist(k, r))
+
     for idx, asg in enumerate(assignments, start=1):
-        legs = " ".join(str(index_from_twist(k, r)) for k in asg.leg_twists)
+        legs = " ".join(label(k) for k in asg.leg_twists)
         edges = " ".join(
-            f"({a},{b}):{index_from_twist(k1, r)}|{index_from_twist(k2, r)}"
+            f"({a},{b}):{label(k1)}|{label(k2)}"
             for (a, b), (k1, k2) in zip(graph.edges, asg.edge_twists))
         print(f"  {idx}. legs [{legs}] edges [{edges}]")
     return 0

@@ -7,6 +7,15 @@ with a twist in {0, .., r-1} on every half edge: legs are pinned by the
 type, the two halves of each edge must sum to 0 mod r (the balanced
 condition), and each vertex must satisfy an integrality constraint for
 the root bundle to exist on its component.
+
+That vertex condition is linear mod r: an edge (a, b) with head twist k
+adds k at a and -k at b, and a loop adds nothing.  So on a connected
+graph the admissible assignments are either none or one coset of the
+cycle space H_1(Gamma; Z/r), r^(E - V + 1) of them: the admissible
+weightings mod r of Janda, Pandharipande, Pixton and Zvonkine, "Double
+ramification cycles on the moduli spaces of curves" (Publ. IHES 2017,
+arXiv:1602.04705).  `enumerate_assignments` solves that coset directly
+instead of scanning the r^E balanced candidates.
 """
 from __future__ import annotations
 
@@ -157,9 +166,24 @@ def vertex_degree_test(graph: DualGraph, vid: str, assignment: TwistAssignment) 
 def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[TwistAssignment]:
     """All admissible balanced twist assignments, in lexicographic edge order.
 
-    Legs are forced to their type residues mod r; each edge ranges over
-    the r balanced pairs (k, r - k mod r); a candidate survives when
-    every vertex passes the degree test.
+    Legs are forced to their type residues mod r and each edge carries a
+    balanced pair (k, r - k mod r); the order is that of the head twists
+    k.  Vertex v has the demand c_v = 2g_v - 2 + valence - (its leg
+    twists), and its degree test holds exactly when the edge twists at v
+    (k at a head, -k at a tail, nothing from a loop) add up to c_v mod r.
+    The demands sum to 2g - 2 + n - sum(m): unless r divides it there is
+    no assignment, and otherwise the assignments are one coset of the
+    cycle space, r^(E - V + 1) of them (Janda-Pandharipande-Pixton-
+    Zvonkine, arXiv:1602.04705).
+
+    The spanning tree comes from reverse Kruskal: an edge is a tree edge
+    when no later edge already joins its two ends.  A non-tree edge lies
+    on a cycle of itself and later edges (a loop is one), so given the
+    edges before it, it takes all r values; a tree edge is determined by
+    the edges before it.  Running through the free edges' values in
+    lexicographic edge order, and solving the tree edges from the leaves
+    up, therefore lists the assignments in lexicographic order with no
+    sort and no candidate test.
     """
     if r < 1:
         raise ValueError("level r must be a positive integer")
@@ -168,10 +192,55 @@ def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[
     if not stability_check(graph):
         raise ValueError("graph is not stable")
     leg_twists = tuple(mi % r for mi in m)
+    slot = {v: i for i, (v, _g) in enumerate(graph.vertices)}
+    demand = [2 * g - 2 + graph.valence(v) for v, g in graph.vertices]
+    for v, mk in graph.legs:
+        demand[slot[v]] -= leg_twists[mk - 1]
+    if sum(demand) % r:
+        return []
+    ends = [(slot[a], slot[b]) for a, b in graph.edges]
+    component = list(range(len(demand)))
+
+    def find(x: int) -> int:
+        while component[x] != x:
+            component[x] = component[component[x]]
+            x = component[x]
+        return x
+
+    # adjacent[v]: (w, tree edge, sign) with head twist = sign * (need at w)
+    # when w hangs below v in the tree
+    free, adjacent = [], [[] for _ in demand]
+    for e in reversed(range(len(ends))):
+        a, b = ends[e]
+        ca, cb = find(a), find(b)
+        if ca == cb:
+            free.append(e)
+        else:
+            component[ca] = cb
+            adjacent[a].append((b, e, -1))
+            adjacent[b].append((a, e, 1))
+    free.reverse()
+    tree, reached, stack = [], {0}, [0]
+    while stack:
+        parent = stack.pop()
+        for child, e, sign in adjacent[parent]:
+            if child not in reached:
+                reached.add(child)
+                tree.append((child, parent, e, sign))
+                stack.append(child)
+    tree.reverse()  # every vertex after all the vertices below it
+    pairs = [(k, balanced_partner(k, r)) for k in range(r)]
     out = []
-    for heads in iproduct(range(r), repeat=len(graph.edges)):
-        edge_twists = tuple((k, balanced_partner(k, r)) for k in heads)
-        cand = TwistAssignment(r, leg_twists, edge_twists)
-        if all(vertex_degree_test(graph, v, cand) for v, _g in graph.vertices):
-            out.append(cand)
+    for choice in iproduct(range(r), repeat=len(free)):
+        heads = [0] * len(ends)
+        need = demand[:]
+        for e, k in zip(free, choice):
+            heads[e] = k
+            a, b = ends[e]
+            need[a] -= k
+            need[b] += k
+        for child, parent, e, sign in tree:
+            heads[e] = sign * need[child] % r
+            need[parent] += need[child]
+        out.append(TwistAssignment(r, leg_twists, tuple(pairs[k] for k in heads)))
     return out

@@ -19,6 +19,7 @@ from .dualgraph import (
     DualGraph,
     deformation_dimension,
     enumerate_assignments,
+    graph_genus,
     spin_chi,
     stability_check,
 )
@@ -466,16 +467,24 @@ def _brute_force_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> li
 
 
 def suite_enumeration(max_r: int) -> Cases:
-    """Stratum enumeration matches a brute-force oracle on the graph family."""
+    """Stratum enumeration matches a brute-force oracle on the graph family.
+
+    Each case also checks the count against the closed form: r^(E - V + 1)
+    when r divides 2g - 2 + n - sum(m), and 0 otherwise.
+    """
     for graph in _graph_family():
         n = graph.n_markings
+        g = graph_genus(graph)
+        cycle_rank = len(graph.edges) - len(graph.vertices) + 1
         for r in range(2, max_r + 1):
             for m in iproduct(range(r), repeat=n):
                 got = [a.edge_twists for a in enumerate_assignments(graph, r, m)]
                 want = _brute_force_assignments(graph, r, m)
-                yield (None if got == want else
+                closed = 0 if (2 * g - 2 + n - sum(m)) % r else r ** cycle_rank
+                yield (None if got == want and len(got) == closed else
                        f"graph V={len(graph.vertices)} E={len(graph.edges)} "
-                       f"legs={n} r={r} m={m}: {len(got)} vs {len(want)} assignments")
+                       f"legs={n} r={r} m={m}: {len(got)} vs {len(want)} assignments, "
+                       f"closed form {closed}")
     # the worked one-vertex loop example
     loop = DualGraph((("v0", 0),), (("v0", "v0"),), (("v0", 1),))
     for m, expected in (((1,), 2), ((0,), 0)):

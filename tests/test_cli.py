@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tempfile
+from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spinalg.cli import graph_document, main, parse_graph_document
 from spinalg.dualgraph import DualGraph
+from spinalg.twists import index_from_twist
 
 LOOP_DOC = {
     "r": 2,
@@ -58,6 +60,77 @@ def test_strata_loop_graph(tmp_path, capsys):
     assert "assignments: 2" in out
     assert "chi = 0" in out
     assert "1(2,1,1)" in out
+
+
+def _path_document(n, r, m, extra=()):
+    """Genus-1 vertices v0..v(n-1) joined in a path, one leg at v0.
+
+    Path edges of odd index point backwards; each (position, edge) of extra
+    is inserted at that position of the edge list.
+    """
+    edges = [[f"v{i}", f"v{i + 1}"] if i % 2 == 0 else [f"v{i + 1}", f"v{i}"]
+             for i in range(n - 1)]
+    for position, edge in extra:
+        edges.insert(position, list(edge))
+    return {"r": r, "m": [m], "vertices": [{"id": f"v{i}", "genus": 1} for i in range(n)],
+            "edges": edges, "legs": [{"vertex": "v0", "marking": 1}]}
+
+
+def _path_listing(doc, extra_positions):
+    """The report lines listing every admissible assignment of a path document.
+
+    Each extra edge takes all r head twists; the path edges, which come in
+    path order, are then forced, solved from v0 along the path, and the
+    tuples are sorted.
+    """
+    r = doc["r"]
+    edges = [(int(a[1:]), int(b[1:])) for a, b in doc["edges"]]
+    demand = [0] * len(doc["vertices"])  # 2g - 2 = 0 at genus 1
+    for a, b in edges:
+        demand[a] += 1
+        demand[b] += 1
+    demand[0] += 1 - doc["m"][0] % r  # the leg at v0
+    rows = []
+    for extra in iproduct(range(r), repeat=len(extra_positions)):
+        heads = dict(zip(extra_positions, extra))
+        need = demand[:]
+        for e, k in heads.items():
+            need[edges[e][0]] -= k
+            need[edges[e][1]] += k
+        for e, (a, b) in enumerate(edges):
+            if e not in extra_positions:
+                low = min(a, b)  # the edge twist seen from v_low must use up its need
+                heads[e] = need[low] % r if a == low else -need[low] % r
+                need[low + 1] += need[low]
+        rows.append(tuple(heads[e] for e in range(len(edges))))
+    label = {k: str(index_from_twist(k, r)) for k in range(r)}
+    legs = label[doc["m"][0] % r]
+    return [f"  {idx}. legs [{legs}] edges ["
+            + " ".join(f"({a},{b}):{label[k]}|{label[-k % r]}"
+                       for (a, b), k in zip(doc["edges"], row))
+            + "]" for idx, row in enumerate(sorted(rows), start=1)]
+
+
+# 24 edges at r = 12: a scan of all 12^24 balanced candidates could never finish
+@pytest.mark.parametrize("doc, positions, chi, count", [
+    (_path_document(23, 12, 0, [(3, ("v22", "v0")), (10, ("v11", "v11"))]), (3, 10),
+     "non-integral", 0),
+    (_path_document(25, 12, 1), (), "-20", 1),
+    (_path_document(23, 12, 1, [(3, ("v22", "v0")), (10, ("v11", "v11"))]), (3, 10), "-20", 144),
+])
+def test_strata_large_graphs(tmp_path, capsys, doc, positions, chi, count):
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "strata", str(path))
+    assert (code, err) == (0, "")
+    nv = len(doc["vertices"])
+    header = ["# spinalg report v1", "command: strata", f"graph: {nv} vertices, 24 edges, 1 legs",
+              "genus: 25", "stable: yes", "r: 12",
+              f"type m: {doc['m']}  (m-1 shift: [{doc['m'][0] - 1}])", f"chi = {chi}",
+              "dimension (all nodes balanced): 73", f"assignments: {count}"]
+    listing = _path_listing(doc, positions) if count else []
+    assert len(listing) == count
+    assert out == "\n".join(header + listing) + "\n"
 
 
 def test_strata_missing_file(capsys):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spinalg import verify
 from spinalg.dualgraph import (
     DualGraph,
     TwistAssignment,
@@ -105,3 +107,32 @@ def test_assignment_count_deterministic():
     first = enumerate_assignments(g, 4, (1, 1))
     second = enumerate_assignments(g, 4, (1, 1))
     assert first == second
+
+
+@st.composite
+def _stable_graphs(draw):
+    """Connected stable graphs, at most 5 vertices and 7 edges, loops and
+    multi-edges allowed, edges in any order and orientation."""
+    vids = [f"v{k}" for k in range(draw(st.integers(1, 5)))]
+    edges = [(vids[draw(st.integers(0, k - 1))], vids[k]) for k in range(1, len(vids))]
+    ends = st.tuples(st.sampled_from(vids), st.sampled_from(vids))
+    edges = draw(st.permutations(edges + draw(st.lists(ends, max_size=8 - len(vids)))))
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in edges]
+    legs = [(draw(st.sampled_from(vids)), k + 1) for k in range(draw(st.integers(0, 3)))]
+    vertices = []
+    for v in vids:
+        valence = sum((a == v) + (b == v) for a, b in edges) + sum(w == v for w, _ in legs)
+        lowest = max(0, (4 - valence) // 2)  # least genus with 2g - 2 + valence > 0
+        vertices.append((v, lowest + draw(st.integers(0, 1))))
+    return DualGraph(tuple(vertices), tuple(edges), tuple(legs))
+
+
+@given(_stable_graphs(), st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_enumeration_matches_brute_force_in_order(graph, r, data):
+    m = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=graph.n_markings,
+                                 max_size=graph.n_markings)))
+    listed = enumerate_assignments(graph, r, m)
+    assert [a.edge_twists for a in listed] == verify._brute_force_assignments(graph, r, m)
+    for asg in listed:
+        assert all(vertex_degree_test(graph, v, asg) for v, _g in graph.vertices)
