@@ -11,6 +11,7 @@ import ast
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache
 
 from . import verify
@@ -52,6 +53,15 @@ def _env_prime() -> int | None:
 def _field(r: int, explicit: int | None) -> FieldConfig:
     p = explicit if explicit is not None else _env_prime()
     return FieldConfig.for_level(r, p)
+
+
+@contextmanager
+def _nesting_limit(what: str):
+    """Report input that nests past the interpreter's recursion limit as a ValueError."""
+    try:
+        yield
+    except RecursionError:
+        raise ValueError(f"{what} nests too deeply") from None
 
 
 def _type_lines(m: tuple[int, ...]) -> str:
@@ -155,37 +165,39 @@ def graph_document(graph: DualGraph, r: int, m: tuple[int, ...],
 
 
 def _cmd_strata(args) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
+    with open(args.graph, "r", encoding="utf-8") as fh, _nesting_limit("graph JSON"):
         doc = json.load(fh)
     graph, r, m, prime = parse_graph_document(doc)
-    # raises on an unstable graph, before any report line is printed
+    # raises on an unstable graph, before any report line is written
     assignments = enumerate_assignments(graph, r, m)
     g = graph_genus(graph)
     n = graph.n_markings
-    print(REPORT_TAG)
-    print("command: strata")
-    print(f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges, {n} legs")
-    print(f"genus: {g}")
-    print("stable: yes")
-    print(f"r: {r}")
-    if prime is not None:
-        print(f"field: p={prime}")
-    print(_type_lines(m))
     chi = spin_chi(g, n, r, m)
-    print(f"chi = {'non-integral' if chi is None else chi}")
-    print(f"dimension (all nodes balanced): {deformation_dimension(g, n)}")
-    print(f"assignments: {len(assignments)}")
+    lines = [REPORT_TAG, "command: strata",
+             f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges, {n} legs",
+             f"genus: {g}", "stable: yes", f"r: {r}"]
+    if prime is not None:
+        lines.append(f"field: p={prime}")
+    lines += [_type_lines(m), f"chi = {'non-integral' if chi is None else chi}",
+              f"dimension (all nodes balanced): {deformation_dimension(g, n)}",
+              f"assignments: {len(assignments)}"]
 
     @cache  # each twist's label once per report, and only the twists listed
     def label(k: int) -> str:
         return str(index_from_twist(k, r))
 
-    for idx, asg in enumerate(assignments, start=1):
-        legs = " ".join(label(k) for k in asg.leg_twists)
-        edges = " ".join(
-            f"({a},{b}):{label(k1)}|{label(k2)}"
-            for (a, b), (k1, k2) in zip(graph.edges, asg.edge_twists))
-        print(f"  {idx}. legs [{legs}] edges [{edges}]")
+    @cache  # each (edge, twist pair) cell once per report
+    def cell(e: int, pair: tuple[int, int]) -> str:
+        (a, b), (k1, k2) = graph.edges[e], pair
+        return f"({a},{b}):{label(k1)}|{label(k2)}"
+
+    if assignments:
+        # the legs are pinned by the type: every assignment has the same leg twists
+        legs = " ".join(label(k) for k in assignments[0].leg_twists)
+        for idx, asg in enumerate(assignments, start=1):
+            edges = " ".join([cell(e, pair) for e, pair in enumerate(asg.edge_twists)])
+            lines.append(f"  {idx}. legs [{legs}] edges [{edges}]")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -263,7 +275,8 @@ def parse_chart_expression(chart: SpinChart, text: str) -> UpstairsElement:
     integer literals; everything else is rejected.
     """
     try:
-        tree = ast.parse(text, mode="eval")
+        with _nesting_limit("expression"):
+            tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression: {exc}") from None
 
@@ -311,7 +324,8 @@ def parse_chart_expression(chart: SpinChart, text: str) -> UpstairsElement:
             raise ValueError("only +, -, *, ** are supported")
         raise ValueError(f"unsupported syntax: {ast.dump(node)}")
 
-    return ev(tree)
+    with _nesting_limit("expression"):
+        return ev(tree)
 
 
 def _cmd_oracle(args) -> int:
@@ -354,6 +368,7 @@ def _cmd_verify(args) -> int:
 # -- entry ---------------------------------------------------------------------
 
 
+@cache  # built on the first call and shared by every later one in the process
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spinalg",
                      description="Exact local algebra of roots of the log-canonical "
@@ -400,7 +415,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"spinalg: error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,10 @@ uninstalls it again; it reads perfbench/ and changes nothing there.
 """
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
@@ -45,3 +48,31 @@ def test_tracer_installs_on_every_entry_point_and_uninstalls():
         assert tracer.calls[name] > 0, name
     for target, attr, orig in patched:
         assert _bound(target, attr) is orig, (target, attr)
+
+
+def test_tracer_sees_the_strata_path_through_the_cached_parser(tmp_path):
+    """The parser is built once per process, yet dispatch still reaches the patched globals."""
+    run = _load_run()
+    api = run.load_api()
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"r": 3, "m": [1], "vertices": [{"id": "v0", "genus": 0}],
+                                "edges": [["v0", "v0"]],
+                                "legs": [{"vertex": "v0", "marking": 1}]}))
+
+    def strata():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert api.cli.main(["strata", str(path)]) == 0
+        return out.getvalue()
+
+    untraced = strata()
+    tracer = run.Tracer()
+    run.install(tracer, api)
+    try:
+        traced = strata()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert "assignments: 3" in traced
+    for name in ("cli.main", "dualgraph.enumerate", "twists.index_from_twist"):
+        assert tracer.calls[name] > 0, name

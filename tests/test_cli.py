@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinalg.cli import graph_document, main, parse_graph_document
+from spinalg.cli import build_parser, graph_document, main, parse_graph_document
 from spinalg.dualgraph import DualGraph
 from spinalg.twists import index_from_twist
 
@@ -366,6 +366,23 @@ def test_oracle_rejects_bad_expression(capsys):
     assert_one_error_line(code, out, err, "exponents must be integer literals")
 
 
+@pytest.mark.parametrize("depth, field", [(900, "must be a JSON object"),
+                                          (5000, "graph JSON nests too deeply")])
+def test_strata_deeply_nested_json_exits_with_one_line(tmp_path, capsys, depth, field):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    assert_one_error_line(*run(capsys, "strata", str(path)), field)
+
+
+def test_oracle_deeply_nested_expression(capsys):
+    code, out, err = run(capsys, "oracle", "--l", "2", "--expr=" + "-" * 500 + "z")
+    assert (code, err) == (0, "")
+    assert "normal form: z" in out
+    for expr in ("-" * 5000 + "z", "+".join(["z"] * 1000)):
+        code, out, err = run(capsys, "oracle", "--l", "2", "--expr=" + expr)
+        assert_one_error_line(code, out, err, "expression nests too deeply")
+
+
 def test_env_prime_override(monkeypatch, capsys):
     monkeypatch.setenv("SPINALG_FIELD_PRIME", "13")
     code, out, _ = run(capsys, "local-model", "--r", "4", "--l", "2", "--i", "1")
@@ -399,24 +416,63 @@ def test_reports_are_byte_deterministic(tmp_path, capsys):
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# Three vertices, a repeated edge (once reversed), a loop, three legs whose markings
+# are not in vertex order and whose twists are not sorted (one type entry past r),
+# and a field prime: 4^(4 - 3 + 1) = 16 listed assignments.
+MULTI_LEG_DOC = {
+    "r": 4,
+    "m": [3, 1, 7],
+    "field_prime": 13,
+    "vertices": [{"id": "a", "genus": 0}, {"id": "b", "genus": 1}, {"id": "c", "genus": 0}],
+    "edges": [["a", "b"], ["b", "a"], ["b", "c"], ["c", "c"]],
+    "legs": [{"vertex": "c", "marking": 1}, {"vertex": "a", "marking": 2},
+             {"vertex": "b", "marking": 3}],
+}
+
 # The files in tests/golden pin report bytes; rewrite one only when its report is meant
-# to change.  None in an argv stands for the path of LOOP_DOC on disk.
+# to change.  A dict in an argv stands for the path of that graph document on disk.
 GOLDEN_ARGV = {
     "verify_algebra_max_r_3": ["verify-algebra", "--max-r", "3"],
     "local_model_r12_l6_i5":
         ["local-model", "--r", "12", "--l", "6", "--i", "5", "--tiers", "--products"],
     "oracle_l3_b2": ["oracle", "--l", "3", "--b", "2", "--expr", "(z+w+S)**4 - 3*z*w + S**-2"],
-    "strata_loop": ["strata", None],
+    "strata_loop": ["strata", LOOP_DOC],
+    "strata_multi_leg": ["strata", MULTI_LEG_DOC],
 }
+
+
+def assert_matches_golden(tmp_path, capsys, name):
+    """Run GOLDEN_ARGV[name], its graph documents written under tmp_path, against its file."""
+    argv = []
+    for n, arg in enumerate(GOLDEN_ARGV[name]):
+        if isinstance(arg, dict):
+            path = tmp_path / f"{name}-{n}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        argv.append(arg)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, ""), name
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), name
 
 
 @pytest.mark.parametrize("name", GOLDEN_ARGV)
 def test_reports_match_golden_files(tmp_path, capsys, name):
-    path = tmp_path / "loop.json"
-    path.write_text(json.dumps(LOOP_DOC))
-    code, out, err = run(capsys, *(str(path) if arg is None else arg for arg in GOLDEN_ARGV[name]))
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert_matches_golden(tmp_path, capsys, name)
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SPINALG_FIELD_PRIME", raising=False)
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "local-model", "--r", "4", "--l", "2", "--i", "x")
+    assert (code, out) == (1, "")
+    code, out, _ = run(capsys, "local-model", "--r", "4", "--l", "2", "--i", "1", "--p", "13")
+    assert code == 0
+    assert "field: p=13, r=4" in out
+    code, out, _ = run(capsys, "local-model", "--r", "4", "--l", "2", "--i", "1")
+    assert code == 0
+    assert "field: p=5, r=4" in out  # the smallest prime = 1 (mod 4), not the 13 before
+    for name in GOLDEN_ARGV:
+        assert_matches_golden(tmp_path, capsys, name)
 
 
 def test_unknown_subcommand_exits_one(capsys):
