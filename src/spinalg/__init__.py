@@ -9,7 +9,6 @@ model cross-checks the presentation formulas.
 """
 from .dualgraph import (
     DualGraph,
-    TwistAssignment,
     deformation_dimension,
     enumerate_assignments,
     graph_genus,
@@ -54,11 +53,7 @@ from .products import (
 )
 from .resolution import resolution_exact_check
 from .ring import LaurentElement, LaurentRing, NodeRing, RingElement
-from .twists import (
-    TwistData,
-    balanced_partner,
-    index_from_twist,
-)
+from .twists import TwistData, index_from_twist
 from .verify import SuiteResult, run_all
 
 __version__ = "0.1.0"
@@ -81,12 +76,10 @@ __all__ = [
     "SuiteResult",
     "SymPowerSource",
     "TensorSource",
-    "TwistAssignment",
     "TwistData",
     "UpstairsElement",
     "algebra_window",
     "automorphisms",
-    "balanced_partner",
     "check_well_defined",
     "cokernel_length",
     "compatibility_check",

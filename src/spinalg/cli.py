@@ -186,17 +186,16 @@ def _cmd_strata(args) -> int:
     def label(k: int) -> str:
         return str(index_from_twist(k, r))
 
-    @cache  # each (edge, twist pair) cell once per report
-    def cell(e: int, pair: tuple[int, int]) -> str:
-        (a, b), (k1, k2) = graph.edges[e], pair
-        return f"({a},{b}):{label(k1)}|{label(k2)}"
+    @cache  # each (edge, head twist) cell once per report; the tail carries -k
+    def cell(e: int, k: int) -> str:
+        a, b = graph.edges[e]
+        return f"({a},{b}):{label(k)}|{label(-k % r)}"
 
-    if assignments:
-        # the legs are pinned by the type: every assignment has the same leg twists
-        legs = " ".join(label(k) for k in assignments[0].leg_twists)
-        for idx, asg in enumerate(assignments, start=1):
-            edges = " ".join([cell(e, pair) for e, pair in enumerate(asg.edge_twists)])
-            lines.append(f"  {idx}. legs [{legs}] edges [{edges}]")
+    # the legs are pinned by the type: every assignment has the same leg twists
+    legs = " ".join(label(mi % r) for mi in m) if assignments else ""
+    for idx, heads in enumerate(assignments, start=1):
+        edges = " ".join([cell(e, k) for e, k in enumerate(heads)])
+        lines.append(f"  {idx}. legs [{legs}] edges [{edges}]")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

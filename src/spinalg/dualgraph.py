@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .twists import balanced_partner
-
 
 @dataclass(frozen=True)
 class DualGraph:
@@ -133,42 +131,35 @@ def deformation_dimension(g: int, n: int, unbalanced_nodes: int = 0) -> int:
     return 3 * g - 3 + n - unbalanced_nodes
 
 
-@dataclass(frozen=True)
-class TwistAssignment:
-    """Twists on all half edges: per-leg (marking order) and per-edge pairs."""
-
-    r: int
-    leg_twists: tuple[int, ...]
-    edge_twists: tuple[tuple[int, int], ...]
-
-
-def vertex_degree_test(graph: DualGraph, vid: str, assignment: TwistAssignment) -> bool:
+def vertex_degree_test(graph: DualGraph, vid: str, r: int, m: tuple[int, ...],
+                       heads: tuple[int, ...]) -> bool:
     """r divides 2g_v - 2 + valence - (incident twists) at the vertex.
 
     This is the numerator of the root-degree on the component attached
     to the vertex; the root bundle exists there exactly when it is an
-    integer multiple of r.  Leg twists are indexed by marking.
+    integer multiple of r.  Leg twists are the type m by marking; an edge
+    adds its head twist k at its head and the balanced -k at its tail.
     """
-    r = assignment.r
     total = 0
     for v, mk in graph.legs:
         if v == vid:
-            total += assignment.leg_twists[mk - 1]
-    for (a, b), (k1, k2) in zip(graph.edges, assignment.edge_twists):
+            total += m[mk - 1]
+    for (a, b), k in zip(graph.edges, heads):
         if a == vid:
-            total += k1
+            total += k
         if b == vid:
-            total += k2
+            total -= k
     g = graph.genus_of(vid)
     return (2 * g - 2 + graph.valence(vid) - total) % r == 0
 
 
-def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[TwistAssignment]:
-    """All admissible balanced twist assignments, in lexicographic edge order.
+def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All admissible balanced twist assignments, in lexicographic order.
 
-    Legs are forced to their type residues mod r and each edge carries a
-    balanced pair (k, r - k mod r); the order is that of the head twists
-    k.  Vertex v has the demand c_v = 2g_v - 2 + valence - (its leg
+    An assignment is its head twists: one k in {0, .., r-1} per edge, in
+    edge order.  The tail of the edge carries the balanced twist -k mod r
+    and the legs carry the type residues m mod r, so neither is stored.
+    Vertex v has the demand c_v = 2g_v - 2 + valence - (its leg
     twists), and its degree test holds exactly when the edge twists at v
     (k at a head, -k at a tail, nothing from a loop) add up to c_v mod r.
     The demands sum to 2g - 2 + n - sum(m): unless r divides it there is
@@ -191,11 +182,10 @@ def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[
         raise ValueError(f"type length {len(m)} does not match the {graph.n_markings} legs")
     if not stability_check(graph):
         raise ValueError("graph is not stable")
-    leg_twists = tuple(mi % r for mi in m)
     slot = {v: i for i, (v, _g) in enumerate(graph.vertices)}
     demand = [2 * g - 2 + graph.valence(v) for v, g in graph.vertices]
     for v, mk in graph.legs:
-        demand[slot[v]] -= leg_twists[mk - 1]
+        demand[slot[v]] -= m[mk - 1]
     if sum(demand) % r:
         return []
     ends = [(slot[a], slot[b]) for a, b in graph.edges]
@@ -229,7 +219,6 @@ def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[
                 tree.append((child, parent, e, sign))
                 stack.append(child)
     tree.reverse()  # every vertex after all the vertices below it
-    pairs = [(k, balanced_partner(k, r)) for k in range(r)]
     out = []
     for choice in iproduct(range(r), repeat=len(free)):
         heads = [0] * len(ends)
@@ -242,5 +231,5 @@ def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[
         for child, parent, e, sign in tree:
             heads[e] = sign * need[child] % r
             need[parent] += need[child]
-        out.append(TwistAssignment(r, leg_twists, tuple(pairs[k] for k in heads)))
+        out.append(tuple(heads))
     return out

@@ -196,9 +196,6 @@ class RingElement(TermElement):
     # own class-body binding: perfbench/tracing.py wraps methods per class
     __mul__ = __rmul__ = TermElement.__mul__
 
-    def coefficient(self, x: int = 0, y: int = 0, t: int = 0) -> int:
-        return self.terms.get((x, y, t), 0)
-
     def xy_degree(self) -> int:
         """Largest x- or y-exponent across terms (used for degree filtrations)."""
         return max((xe + ye for (xe, ye, _te) in self.terms), default=0)

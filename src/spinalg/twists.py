@@ -46,10 +46,3 @@ def index_from_twist(k: int, r: int) -> TwistData:
     a = k // g
     return TwistData(k, r, l, a, l - a)
 
-
-def balanced_partner(k: int, r: int) -> int:
-    """Twist on the opposite branch of a balanced node."""
-    if not (0 <= k < r):
-        raise ValueError(f"twist must satisfy 0 <= k < r; got k={k}")
-    return (r - k) % r
-

@@ -40,7 +40,6 @@ from .products import (
     power_map,
     product_map,
     sym_power_map,
-    tier_module,
 )
 from .resolution import resolution_exact_check
 from .ring import LaurentRing, NodeRing
@@ -271,10 +270,11 @@ def suite_cokernel(max_r: int) -> Cases:
     cache: dict = {}
     for r, l, ring, i_top, j_top in _tiers(max_r):
         for d, e in _divisor_chains(r):
-            source = tier_module(ring, i_top, j_top, r, d)
+            gm = power_map(ring, r, d, e, i_top, j_top)
+            source = gm.source.module
             key = (l, source.i, source.j, d // e)
             if key not in cache:
-                cache[key] = cokernel_length(power_map(ring, r, d, e, i_top, j_top))
+                cache[key] = cokernel_length(gm)
             length = cache[key]
             expected = 0 if source.is_free else d // e - 1
             yield (None if length == expected else
@@ -434,8 +434,13 @@ def _graph_family():
     return [g for g in graphs if stability_check(g)]
 
 
-def _brute_force_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list:
-    """Independent re-enumeration: raw loops, no shared twist helpers."""
+def _brute_force_assignments(graph: DualGraph, r: int,
+                             m: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Independent re-enumeration: raw loops, no shared twist helpers.
+
+    Scans all r^E head-twist vectors in lexicographic order and keeps
+    those that pass every vertex test; each is returned as its head twists.
+    """
     leg_twists = tuple(mi % r for mi in m)
     static = {}
     for vid, genus in graph.vertices:
@@ -462,7 +467,7 @@ def _brute_force_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> li
                 ok = False
                 break
         if ok:
-            found.append(tuple((k, (r - k) % r) for k in heads))
+            found.append(heads)
     return found
 
 
@@ -478,7 +483,7 @@ def suite_enumeration(max_r: int) -> Cases:
         cycle_rank = len(graph.edges) - len(graph.vertices) + 1
         for r in range(2, max_r + 1):
             for m in iproduct(range(r), repeat=n):
-                got = [a.edge_twists for a in enumerate_assignments(graph, r, m)]
+                got = enumerate_assignments(graph, r, m)
                 want = _brute_force_assignments(graph, r, m)
                 closed = 0 if (2 * g - 2 + n - sum(m)) % r else r ** cycle_rank
                 yield (None if got == want and len(got) == closed else
@@ -588,8 +593,7 @@ def suite_oracle_agreement(max_r: int) -> Cases:
     for r, l, ring, i_top, j_top in _tiers(max_r):
         for d, e in _divisor_chains(r):
             gm = power_map(ring, r, d, e, i_top, j_top)
-            source = tier_module(ring, i_top, j_top, r, d)
-            want = oracle_sym_power_images(source, d // e, gm.target)
+            want = oracle_sym_power_images(gm.source.module, d // e, gm.target)
             for key in gm.images:
                 yield (None if gm.images[key] == want[key] else
                        f"r={r} l={l} ({i_top},{j_top}) {d}->{e} key {key}: oracle disagrees")

@@ -133,6 +133,22 @@ def test_strata_large_graphs(tmp_path, capsys, doc, positions, chi, count):
     assert out == "\n".join(header + listing) + "\n"
 
 
+def test_strata_tree_graph_at_large_level(tmp_path, capsys):
+    """A one-edge tree lists its one assignment at r = 10^6 without an O(r) table."""
+    doc = {"r": 10**6, "m": [3, 1],
+           "vertices": [{"id": "a", "genus": 1}, {"id": "b", "genus": 1}],
+           "edges": [["a", "b"]],
+           "legs": [{"vertex": "a", "marking": 1}, {"vertex": "b", "marking": 2}]}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "strata", str(path))
+    assert (code, err) == (0, "")
+    assert "assignments: 1" in out
+    listing = [line for line in out.splitlines() if line.startswith("  ")]
+    assert listing == ["  1. legs [3(1000000,3,999997) 1(1000000,1,999999)] "
+                       "edges [(a,b):999999(1000000,999999,1)|1(1000000,1,999999)]"]
+
+
 def test_strata_missing_file(capsys):
     code, _, err = run(capsys, "strata", "/nonexistent/graph.json")
     assert code == 1

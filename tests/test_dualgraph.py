@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinalg import verify
 from spinalg.dualgraph import (
     DualGraph,
-    TwistAssignment,
     deformation_dimension,
     enumerate_assignments,
     graph_genus,
@@ -77,10 +78,14 @@ def test_deformation_dimension():
 
 def test_vertex_degree_test():
     g = loop_graph()
-    asg = TwistAssignment(2, (1,), ((0, 0),))
-    assert vertex_degree_test(g, "v0", asg)
-    asg_bad = TwistAssignment(2, (0,), ((0, 0),))
-    assert not vertex_degree_test(g, "v0", asg_bad)
+    assert vertex_degree_test(g, "v0", 2, (1,), (0,))
+    assert not vertex_degree_test(g, "v0", 2, (0,), (0,))
+    # both ends need 2 mod 3: the head a takes k = 2, the tail b takes -k, so k = 1
+    h = two_vertex_graph()
+    assert vertex_degree_test(h, "a", 3, (0, 0), (2,))
+    assert not vertex_degree_test(h, "b", 3, (0, 0), (2,))
+    assert vertex_degree_test(h, "b", 3, (0, 0), (1,))
+    assert not vertex_degree_test(h, "a", 3, (0, 0), (1,))
 
 
 def test_loop_graph_worked_example():
@@ -94,12 +99,11 @@ def test_assignments_are_balanced_and_admissible():
     for r in (2, 3, 4):
         for m1 in range(r):
             for m2 in range(r):
-                for asg in enumerate_assignments(g, r, (m1, m2)):
-                    for k1, k2 in asg.edge_twists:
-                        assert (k1 + k2) % r == 0
+                for heads in enumerate_assignments(g, r, (m1, m2)):
+                    assert len(heads) == len(g.edges)
+                    assert all(0 <= k < r for k in heads)
                     for vid, _ in g.vertices:
-                        assert vertex_degree_test(g, vid, asg)
-                    assert asg.leg_twists == (m1 % r, m2 % r)
+                        assert vertex_degree_test(g, vid, r, (m1, m2), heads)
 
 
 def test_assignment_count_deterministic():
@@ -133,6 +137,21 @@ def test_enumeration_matches_brute_force_in_order(graph, r, data):
     m = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=graph.n_markings,
                                  max_size=graph.n_markings)))
     listed = enumerate_assignments(graph, r, m)
-    assert [a.edge_twists for a in listed] == verify._brute_force_assignments(graph, r, m)
-    for asg in listed:
-        assert all(vertex_degree_test(graph, v, asg) for v, _g in graph.vertices)
+    assert listed == verify._brute_force_assignments(graph, r, m)
+    for heads in listed:
+        assert all(vertex_degree_test(graph, v, r, m, heads) for v, _g in graph.vertices)
+
+
+def test_enumeration_memory_does_not_grow_with_r():
+    """A tree graph has one assignment at any level; listing it needs no O(r) table."""
+    g = two_vertex_graph()  # demands 2 - 3 at a and 2 - 1 at b: the head twist is -1
+    r = 10**6
+    tracemalloc.start()
+    try:
+        listed = enumerate_assignments(g, r, (3, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert listed == [(r - 1,)]
+    assert all(vertex_degree_test(g, v, r, (3, 1), listed[0]) for v, _g in g.vertices)
+    assert peak < 2**20

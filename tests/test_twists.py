@@ -6,11 +6,7 @@ from spinalg.field import FieldConfig
 from spinalg.modules import make_module
 from spinalg.products import tier_module
 from spinalg.ring import NodeRing
-from spinalg.twists import (
-    TwistData,
-    balanced_partner,
-    index_from_twist,
-)
+from spinalg.twists import index_from_twist
 
 
 def test_index_from_twist_zero():
@@ -43,14 +39,6 @@ def test_twist_data_roundtrip():
 def test_twist_display():
     assert str(index_from_twist(2, 6)) == "2(3,1,2)"
     assert str(index_from_twist(0, 6)) == "0(1,0,0)"
-
-
-def test_balanced_partner():
-    assert balanced_partner(0, 5) == 0
-    assert balanced_partner(2, 5) == 3
-    for r in (2, 3, 4, 6):
-        for k in range(r):
-            assert (k + balanced_partner(k, r)) % r == 0
 
 
 def test_tier_twists():
