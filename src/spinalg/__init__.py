@@ -54,7 +54,6 @@ from .products import (
 from .resolution import resolution_exact_check
 from .ring import LaurentElement, LaurentRing, NodeRing, RingElement
 from .twists import TwistData, index_from_twist
-from .verify import SuiteResult, run_all
 
 __version__ = "0.1.0"
 
@@ -73,7 +72,6 @@ __all__ = [
     "RelationViolation",
     "RingElement",
     "SpinChart",
-    "SuiteResult",
     "SymPowerSource",
     "TensorSource",
     "TwistData",
@@ -99,7 +97,6 @@ __all__ = [
     "power_map",
     "product_map",
     "resolution_exact_check",
-    "run_all",
     "spin_chi",
     "stability_check",
     "sym_power_map",

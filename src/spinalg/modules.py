@@ -403,7 +403,9 @@ def cokernel_length(gmap: GeneratorMap) -> int:
     by x or y never lowers degree, so products of image generators by
     monomials of degree <= M span every image element of degree <= M,
     making each Q_m exact.  Stops after three consecutive zero
-    increments beyond both max(i, j, l) and the top image degree.
+    increments, counted once m >= max(i, j, l); the top image degree
+    only sets the search cap max(i, j, l, image degree) + 8, past which
+    it raises RuntimeError.  The three-zero stop is a heuristic.
     """
     violation = check_well_defined(gmap)
     if violation is not None:

@@ -187,12 +187,6 @@ class AlgebraWindow:
     grades: dict
     products: dict
 
-    def grade(self, n: int) -> ModulePresentation:
-        return self.grades[n]
-
-    def product(self, n1: int, n2: int) -> GeneratorMap:
-        return self.products[(n1, n2)]
-
 
 def algebra_window(ring: NodeRing, i: int, j: int, r: int, radius: int) -> AlgebraWindow:
     """Build all tier modules and products with grades in [-radius, radius].

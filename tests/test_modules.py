@@ -218,3 +218,16 @@ def test_cokernel_length_non_monomial_graded_map():
         gm = GeneratorMap(LinearSource(free), free, {1: free.element(f)})
         assert cokernel_length(gm) == length
 
+
+def test_cokernel_length_raises_on_infinite_cokernel():
+    # the zero map and multiplication by t both vanish at t = 0, so the
+    # cokernel is all of M(1,1): infinite-dimensional, never a length
+    r2 = ring(2)
+    m11 = make_module(r2, 1, 1)
+    keys = m11.generator_keys
+    zero = GeneratorMap(LinearSource(m11), m11, {k: m11.zero() for k in keys})
+    by_t = GeneratorMap(LinearSource(m11), m11, {k: r2.t() * m11.generator(k) for k in keys})
+    for gm in (zero, by_t):
+        assert check_well_defined(gm) is None
+        with pytest.raises(RuntimeError, match="did not stabilize"):
+            cokernel_length(gm)

@@ -1,6 +1,19 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import spinalg
+
+SRC = Path(spinalg.__file__).resolve().parent.parent
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on this copy of spinalg."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_every_export_resolves_once():
@@ -8,3 +21,12 @@ def test_every_export_resolves_once():
     missing = [name for name in spinalg.__all__ if not hasattr(spinalg, name)]
     assert missing == []
     assert sorted({n for n in spinalg.__all__ if spinalg.__all__.count(n) > 1}) == []
+
+
+def test_suites_load_only_for_verify_algebra():
+    """Importing the package and the CLI leaves the property suites unloaded."""
+    probe = _python("-c", "import sys, spinalg, spinalg.cli; print('spinalg.verify' in sys.modules)")
+    assert (probe.returncode, probe.stdout) == (0, "False\n"), probe.stderr
+    run = _python("-m", "spinalg.cli", "verify-algebra", "--max-r", "1")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "result: PASS"

@@ -180,14 +180,14 @@ def test_power_maps_compose():
 def test_algebra_window_grades():
     r3 = ring(3)
     win = algebra_window(r3, 1, 2, 3, 3)
-    assert win.grade(0).is_free
-    assert (win.grade(1).i, win.grade(1).j) == (1, 2)
-    assert (win.grade(-1).i, win.grade(-1).j) == (2, 1)
-    assert win.grade(3).is_free
-    gm = win.product(1, 1)
+    assert win.grades[0].is_free
+    assert (win.grades[1].i, win.grades[1].j) == (1, 2)
+    assert (win.grades[-1].i, win.grades[-1].j) == (2, 1)
+    assert win.grades[3].is_free
+    gm = win.products[(1, 1)]
     assert (gm.target.i, gm.target.j) == (2, 1)
     with pytest.raises(KeyError):
-        win.grade(4)
+        win.grades[4]
 
 
 def test_dual_pairing_matrix():
