@@ -91,15 +91,6 @@ class FieldConfig:
         """Field for level r, defaulting to the smallest admissible prime."""
         return cls(default_prime(r) if p is None else p, r)
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, -1, self.p)
-
     def primitive_root(self) -> int:
         """Smallest generator of the multiplicative group of F_p."""
         if self.p == 2:

@@ -92,19 +92,21 @@ class SpinChart(TermRing):
 # -- bridges between the chart and presented modules --------------------
 
 
-def symbol_exponent(chart: SpinChart, pres: ModulePresentation) -> int:
-    """Least s >= 0 with b*s = j (mod l), making w^j S^s (and z^i S^s) invariant."""
+def _check_chart(chart: SpinChart, pres: ModulePresentation) -> None:
     if pres.ring.l != chart.l or pres.ring.field != chart.field:
         raise ValueError("module and chart disagree on l or the field")
-    binv = pow(chart.b % chart.l, -1, chart.l) if chart.l > 1 else 0
-    return (pres.j * binv) % chart.l if chart.l > 1 else 0
+
+
+def symbol_exponent(chart: SpinChart, pres: ModulePresentation) -> int:
+    """Least s >= 0 with b*s = j (mod l), making w^j S^s (and z^i S^s) invariant."""
+    _check_chart(chart, pres)
+    return pres.j * pow(chart.b, -1, chart.l) % chart.l
 
 
 def lift_element(chart: SpinChart, elem: ModuleElement, s_exp: int) -> UpstairsElement:
     """Upstairs image of a module element, the generators lifted at S^s_exp."""
     pres = elem.presentation
-    if pres.ring.l != chart.l or pres.ring.field != chart.field:
-        raise ValueError("module and chart disagree on l or the field")
+    _check_chart(chart, pres)
     l = chart.l
     raw = []
     for (xe, ye, te), c in elem.f.terms.items():
@@ -123,8 +125,7 @@ def lower_element(chart: SpinChart, up: UpstairsElement, pres: ModulePresentatio
     multiple of a lifted generator; otherwise the element does not come
     from the module and a ValueError reports the offending monomial.
     """
-    if pres.ring.l != chart.l or pres.ring.field != chart.field:
-        raise ValueError("module and chart disagree on l or the field")
+    _check_chart(chart, pres)
     l = chart.l
     c1_raw, c2_raw = [], []
     for mon, c in up.terms.items():
@@ -143,12 +144,6 @@ def lower_element(chart: SpinChart, up: UpstairsElement, pres: ModulePresentatio
     return pres.element(ring.from_terms(c1_raw), ring.from_terms(c2_raw))
 
 
-def _generator_lift(chart: SpinChart, pres: ModulePresentation, key: int, s_exp: int) -> UpstairsElement:
-    if key == 1:
-        return chart.monomial(z=pres.i, s=s_exp)
-    return chart.monomial(w=pres.j, s=s_exp)
-
-
 def oracle_product_images(a: ModulePresentation, b: ModulePresentation,
                           target: ModulePresentation) -> dict:
     """Generator-pair product images computed purely upstairs."""
@@ -157,7 +152,7 @@ def oracle_product_images(a: ModulePresentation, b: ModulePresentation,
     images = {}
     for ka in a.generator_keys:
         for kb in b.generator_keys:
-            up = _generator_lift(chart, a, ka, sa) * _generator_lift(chart, b, kb, sb)
+            up = lift_element(chart, a.generator(ka), sa) * lift_element(chart, b.generator(kb), sb)
             images[(ka, kb)] = lower_element(chart, up, target, sa + sb)
     return images
 
@@ -167,11 +162,9 @@ def oracle_sym_power_images(pres: ModulePresentation, m: int,
     """Symmetric-power images e1^(m-k) e2^k computed purely upstairs."""
     chart = SpinChart(pres.ring.field, pres.ring.l, 1)
     s = symbol_exponent(chart, pres)
-    lift1 = _generator_lift(chart, pres, 1, s)
-    lift2 = _generator_lift(chart, pres, 2, s)
-    images = {}
-    keys = (0,) if pres.is_free else tuple(range(m + 1))
-    for k in keys:
-        up = lift1 ** (m - k) * lift2 ** k
-        images[k] = lower_element(chart, up, target, m * s)
-    return images
+    lift1 = lift_element(chart, pres.generator(1), s)
+    if pres.is_free:  # one generator, so the single key 0
+        return {0: lower_element(chart, lift1 ** m, target, m * s)}
+    lift2 = lift_element(chart, pres.generator(2), s)
+    return {k: lower_element(chart, lift1 ** (m - k) * lift2 ** k, target, m * s)
+            for k in range(m + 1)}

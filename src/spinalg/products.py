@@ -4,10 +4,14 @@ The modules M(i, j) over a fixed node ring multiply: the product of the
 exponent-(i, j) and exponent-(i', j') modules lands in the module with
 exponents reduced mod l, and the map is determined by its values on
 generator pairs.  Symmetric powers of a single module work the same way
-and give the comparison maps between the tiers of a root system.  All
-images here are derived from the covering-chart picture (each generator
-is a z- or w-power times the trivializing symbol) and are checked
-against that picture by the oracle module in the test suite.
+and give the comparison maps between the tiers of a root system.
+
+On the covering chart each generator is a z- or w-power (e1 = z^i,
+e2 = w^j, times the trivializing symbol), so every product or power
+image is one invariant monomial z^a w^b; _chart_image is the single rule
+that reads such a monomial back onto the target module.  The oracle
+module recomputes the images by multiplying upstairs and lowering, and
+never calls that rule.
 """
 from __future__ import annotations
 
@@ -25,12 +29,26 @@ from .modules import (
 from .ring import NodeRing
 
 
+def _chart_image(target: ModulePresentation, a: int, b: int) -> ModuleElement:
+    """The invariant chart monomial z^a w^b as an element of the target.
+
+    Invariance gives a - b = i (mod l) for the target's (i, j), so z^a w^b
+    = t^b z^(a-b) is t^b x^((a-b-i)/l) e1 when a - b >= i, and otherwise
+    t^a w^(b-a) = t^a y^((b-a-j)/l) e2 (a free target identifies e2 with e1).
+    """
+    ring, l = target.ring, target.ring.l
+    if a - b >= target.i:
+        return target.element(ring.monomial(x=(a - b - target.i) // l, t=b), 0)
+    return target.element(0, ring.monomial(y=(b - a - target.j) // l, t=a))
+
+
 def product_map(a: ModulePresentation, b: ModulePresentation) -> GeneratorMap:
     """Multiplication M(i, j) x M(i', j') -> M(i+i' mod l, j+j' mod l).
 
-    With v1, v2 the target generators, the generator-pair images split
-    by the size of i + i' (free factors act by collapsing onto the
-    other factor's generators):
+    The generator pair (e_ka, e_kb) lifts to z^(sum of the i's over
+    factors e1) w^(sum of the j's over factors e2), read back by
+    _chart_image.  With v1, v2 the target generators this gives, by the
+    size of i + i' (a free factor's generator is 1):
 
       i + i' > l:   (e1,e1) -> x*v1   (e1,e2) -> t^j' * v1
                     (e2,e1) -> t^j * v1    (e2,e2) -> v2
@@ -44,61 +62,21 @@ def product_map(a: ModulePresentation, b: ModulePresentation) -> GeneratorMap:
         raise ValueError("factors live over different node rings")
     l = ring.l
     target = make_module(ring, (a.i + b.i) % l, (a.j + b.j) % l)
-
-    if a.is_free:
-        images = {(1, kb): target.generator(kb) for kb in b.generator_keys}
-        return GeneratorMap(TensorSource(a, b), target, images)
-    if b.is_free:
-        images = {(ka, 1): target.generator(ka) for ka in a.generator_keys}
-        return GeneratorMap(TensorSource(a, b), target, images)
-
-    t, x, y = ring.t, ring.x, ring.y
-    s = a.i + b.i
-    if s > l:
-        images = {
-            (1, 1): x() * target.generator(1),
-            (1, 2): t(b.j) * target.generator(1),
-            (2, 1): t(a.j) * target.generator(1),
-            (2, 2): target.generator(2),
-        }
-    elif s == l:
-        sigma = target.generator(1)
-        images = {
-            (1, 1): x() * sigma,
-            (1, 2): t(a.i) * sigma,
-            (2, 1): t(a.j) * sigma,
-            (2, 2): y() * sigma,
-        }
-    else:
-        images = {
-            (1, 1): target.generator(1),
-            (1, 2): t(a.i) * target.generator(2),
-            (2, 1): t(b.i) * target.generator(2),
-            (2, 2): y() * target.generator(2),
-        }
+    images = {(ka, kb): _chart_image(target, (ka == 1) * a.i + (kb == 1) * b.i,
+                                     (ka == 2) * a.j + (kb == 2) * b.j)
+              for ka in a.generator_keys for kb in b.generator_keys}
     return GeneratorMap(TensorSource(a, b), target, images)
 
 
 def sym_power_map(pres: ModulePresentation, m: int) -> GeneratorMap:
     """m-th symmetric power M(i, j)^(m) -> M(m*i mod l, m*j mod l).
 
-    Writing u = (m*i - i_bar)/l and v = (m*j - j_bar)/l for the target
-    exponents (i_bar, j_bar), the generator monomials map to
-
-        e1^(m-k) e2^k  ->  x^(u-k) * t^(k*j) * v1        for k <= u,
-        e1^(m-k) e2^k  ->  y^(v-m+k) * t^((m-k)*i) * v2  for k > u.
+    The generator monomial e1^(m-k) e2^k lifts to z^((m-k)*i) w^(k*j),
+    read back by _chart_image.
     """
     source = SymPowerSource(pres, m)
-    ring = pres.ring
     target = pres.grade(m)
-    u = (m * pres.i - target.i) // ring.l
-    v = (m * pres.j - target.j) // ring.l
-    images = {}
-    for k in source.keys:
-        if k <= u:
-            images[k] = target.element(ring.monomial(x=u - k, t=k * pres.j), 0)
-        else:
-            images[k] = target.element(0, ring.monomial(y=v - m + k, t=(m - k) * pres.i))
+    images = {k: _chart_image(target, (m - k) * pres.i, k * pres.j) for k in source.keys}
     return GeneratorMap(source, target, images)
 
 
@@ -179,11 +157,6 @@ class AlgebraWindow:
     the sum inside [-radius, radius].
     """
 
-    ring: NodeRing
-    i: int
-    j: int
-    r: int
-    radius: int
     grades: dict
     products: dict
 
@@ -205,7 +178,7 @@ def algebra_window(ring: NodeRing, i: int, j: int, r: int, radius: int) -> Algeb
     for n1, n2 in iproduct(range(-radius, radius + 1), repeat=2):
         if -radius <= n1 + n2 <= radius:
             products[(n1, n2)] = product_map(grades[n1], grades[n2])
-    return AlgebraWindow(ring, i, j, r, radius, grades, products)
+    return AlgebraWindow(grades, products)
 
 
 # -- symmetries ----------------------------------------------------------
@@ -241,7 +214,7 @@ def automorphisms(pres: ModulePresentation, e: int, t: int | None = None,
     surviving = [k for k, img in gamma.images.items() if t is None or not img.specialize(t).is_zero]
 
     # endomorphism condition for h != s: (h - s) t^j = (s - h) t^i = 0
-    split = not pres.is_free and t is not None and field.reduce(t) == 0 and disconnected
+    split = not pres.is_free and t is not None and t % field.p == 0 and disconnected
     pairs = sorted((h, s) for h in roots for s in roots
                    if (h == s or split)
                    and all(pow(h, e - k, field.p) * pow(s, k, field.p) % field.p == 1

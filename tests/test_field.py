@@ -61,16 +61,6 @@ def test_for_level_picks_default():
     assert g.p == 13
 
 
-def test_reduce_and_inv():
-    f = FieldConfig(7, 3)
-    assert f.reduce(-1) == 6
-    assert f.reduce(10) == 3
-    for a in range(1, 7):
-        assert (a * f.inv(a)) % 7 == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-
-
 def test_unity_roots_frozen():
     f5 = FieldConfig(5, 4)
     assert f5.unity_roots(2) == [1, 4]

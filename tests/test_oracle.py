@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spinalg.oracle
 from spinalg.field import FieldConfig
 from spinalg.modules import make_module
 from spinalg.oracle import (
@@ -154,3 +158,16 @@ def test_oracle_nontrivial_character():
     la = lift_element(c, a.generator(1), sa)
     lb = lift_element(c, b.generator(2), sb)
     assert lower_element(c, la * lb, gm.target, sa + sb) == gm.images[(1, 2)]
+
+
+def test_oracle_imports_nothing_from_products():
+    # the oracle must derive images on the chart, never from products.py
+    tree = ast.parse(Path(spinalg.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any("products" in name.split(".") for name in imported)

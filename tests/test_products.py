@@ -3,9 +3,11 @@ from __future__ import annotations
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinalg.field import FieldConfig
 from spinalg.modules import check_well_defined, make_module
+from spinalg.oracle import oracle_product_images, oracle_sym_power_images
 from spinalg.products import (
     algebra_window,
     automorphisms,
@@ -80,6 +82,21 @@ def test_all_products_well_defined_small():
         for a in mods:
             for b in mods:
                 assert check_well_defined(product_map(a, b)) is None
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=12))
+@example(40, 12)
+@settings(max_examples=30, deadline=None)
+def test_chart_rule_matches_oracle_beyond_suite_range(l, m):
+    # the suites stop at l <= 12; every pair and m-th power at larger l
+    rl = ring(l)
+    mods = [make_module(rl, i, (l - i) % l) for i in range(l)]
+    for a in mods:
+        for b in mods:
+            gm = product_map(a, b)
+            assert gm.images == oracle_product_images(a, b, gm.target)
+        gm = sym_power_map(a, m)
+        assert gm.images == oracle_sym_power_images(a, m, gm.target)
 
 
 def test_products_commute():
@@ -212,6 +229,7 @@ def test_automorphism_orders():
     assert smoothing.order == 2
     nodal_disc = automorphisms(m13, 2, 0, disconnected=True)
     assert nodal_disc.order == 4 and not nodal_disc.diagonal
+    assert automorphisms(m13, 2, 5, disconnected=True) == nodal_disc  # t = p is the node
     nodal_conn = automorphisms(m13, 2, 0, disconnected=False)
     assert nodal_conn.order == 2
     free = make_module(r4, 0, 0)
