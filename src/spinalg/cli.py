@@ -13,6 +13,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import cache
+from math import isqrt
 
 from .dualgraph import (
     DualGraph,
@@ -209,6 +210,12 @@ def _module_line(pres) -> str:
             f"relations t^{pres.j}*e1 = x*e2, t^{pres.i}*e2 = y*e1")
 
 
+def _divisors_descending(n: int) -> list[int]:
+    """The divisors of n, largest first, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return [n // d for d in small] + [d for d in reversed(small) if d * d != n]
+
+
 def _cmd_local_model(args) -> int:
     for flag in ("r", "l"):
         if getattr(args, flag) < 1:
@@ -229,7 +236,7 @@ def _cmd_local_model(args) -> int:
     print("module " + _module_line(pres))
     if args.tiers:
         print(f"tiers (d | {args.r}):")
-        for d in (d for d in range(args.r, 0, -1) if args.r % d == 0):
+        for d in _divisors_descending(args.r):
             tier = pres.grade(args.r // d)
             tag = " free" if tier.is_free else ""
             print(f"  d={d}: M({tier.i},{tier.j}){tag}")
@@ -241,8 +248,8 @@ def _cmd_local_model(args) -> int:
             print(f"product with M({i2},{j2}) -> M({pm.target.i},{pm.target.j}):")
             for key in sorted(pm.images):
                 print(f"  (e{key[0]},e{key[1]}) -> {pm.images[key]}")
-        for d in (d for d in range(args.r, 0, -1) if args.r % d == 0):
-            for e in (e for e in range(d, 0, -1) if d % e == 0):
+        for d in _divisors_descending(args.r):
+            for e in _divisors_descending(d):
                 gm = power_map(ring, args.r, d, e, i, j)
                 print(f"power {d}->{e} from M({gm.source.module.i},{gm.source.module.j}) "
                       f"to M({gm.target.i},{gm.target.j}):")

@@ -133,24 +133,18 @@ def deformation_dimension(g: int, n: int, unbalanced_nodes: int = 0) -> int:
 
 def vertex_degree_test(graph: DualGraph, vid: str, r: int, m: tuple[int, ...],
                        heads: tuple[int, ...]) -> bool:
-    """r divides 2g_v - 2 + valence - (incident twists) at the vertex.
+    """r divides 2g_v - 2 + valence - (incident twists): the root exists on that component.
 
-    This is the numerator of the root-degree on the component attached
-    to the vertex; the root bundle exists there exactly when it is an
-    integer multiple of r.  Leg twists are the type m by marking; an edge
-    adds its head twist k at its head and the balanced -k at its tail.
+    The one statement of the vertex rule; it counts the half edges itself.
+    A leg adds 1 - m_i, an edge end 1 - k at the head and 1 + k at the tail.
     """
-    total = 0
-    for v, mk in graph.legs:
-        if v == vid:
-            total += m[mk - 1]
+    total = 2 * graph.genus_of(vid) - 2 + sum(1 - m[mk - 1] for v, mk in graph.legs if v == vid)
     for (a, b), k in zip(graph.edges, heads):
         if a == vid:
-            total += k
+            total += 1 - k
         if b == vid:
-            total -= k
-    g = graph.genus_of(vid)
-    return (2 * g - 2 + graph.valence(vid) - total) % r == 0
+            total += 1 + k
+    return total % r == 0
 
 
 def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[tuple[int, ...]]:

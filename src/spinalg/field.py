@@ -8,7 +8,6 @@ roots of unity, represented exactly as integers mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Smallest strong pseudoprime to all of _MR_BASES (Sorenson and Webster,
@@ -91,22 +90,18 @@ class FieldConfig:
         """Field for level r, defaulting to the smallest admissible prime."""
         return cls(default_prime(r) if p is None else p, r)
 
-    def primitive_root(self) -> int:
-        """Smallest generator of the multiplicative group of F_p."""
-        if self.p == 2:
-            return 1
-        order = self.p - 1
-        factors = _prime_factors(order)
-        for g in range(2, self.p):
-            if all(pow(g, order // q, self.p) != 1 for q in factors):
-                return g
-        raise AssertionError("no primitive root found")  # unreachable for prime p
-
     def unity_roots(self, e: int) -> list[int]:
-        """All e-th roots of unity in F_p, ascending.  Requires e | r."""
+        """All e-th roots of unity in F_p, ascending.  Requires e | r.
+
+        zeta = g^((p - 1)/e) for the least g = 1, 2, .. with zeta^(e/q) != 1
+        at every prime q | e, so zeta has order exactly e.  Only e is
+        factored, never p - 1.
+        """
         if e < 1 or self.r % e != 0:
             raise ValueError(f"order {e} does not divide the level r={self.r}")
-        if e == 1:
-            return [1]
-        zeta = pow(self.primitive_root(), (self.p - 1) // e, self.p)
-        return sorted(pow(zeta, k, self.p) for k in range(e))
+        factors = _prime_factors(e)
+        # e | p - 1, so a generator g of F_p^* passes and the loop returns
+        for g in range(1, self.p):
+            zeta = pow(g, (self.p - 1) // e, self.p)
+            if all(pow(zeta, e // q, self.p) != 1 for q in factors):
+                return sorted(pow(zeta, k, self.p) for k in range(e))

@@ -344,6 +344,14 @@ def test_local_model_report(capsys):
     assert "d=1: M(0,0) free" in out
 
 
+def test_local_model_tiers_list_divisors_without_scanning_r(capsys):
+    # 10^12 = 2^12 5^12 has 13 * 13 divisors; a scan of range(r) would not finish
+    code, out, _ = run(capsys, "local-model", "--r", str(10**12), "--l", "1", "--i", "0",
+                       "--tiers")
+    assert code == 0
+    assert sum(line.startswith("  d=") for line in out.splitlines()) == 169
+
+
 def test_local_model_validates_divisibility(capsys):
     code, _, err = run(capsys, "local-model", "--r", "4", "--l", "3", "--i", "1")
     assert code == 1

@@ -77,6 +77,19 @@ def test_deformation_dimension():
 
 
 def test_vertex_degree_test():
+    assert_vertex_degree_answers()
+
+
+def test_vertex_degree_test_counts_half_edges_itself(monkeypatch):
+    """The vertex rule reads no valence, so a broken valence cannot hide from it."""
+    def broken(self, vid):
+        raise AssertionError("vertex_degree_test must not read DualGraph.valence")
+
+    monkeypatch.setattr(DualGraph, "valence", broken)
+    assert_vertex_degree_answers()
+
+
+def assert_vertex_degree_answers():
     g = loop_graph()
     assert vertex_degree_test(g, "v0", 2, (1,), (0,))
     assert not vertex_degree_test(g, "v0", 2, (0,), (0,))

@@ -79,3 +79,11 @@ def test_unity_roots_are_roots():
         assert len(roots) == e
         for z in roots:
             assert pow(z, e, 13) == 1
+
+
+def test_unity_roots_over_a_safe_prime_factor_only_the_order():
+    # p - 1 = 2q with q prime: finding the roots must not factor p - 1
+    p = 2000000000000001683
+    assert is_prime(p)
+    assert is_prime((p - 1) // 2)
+    assert FieldConfig(p, 2).unity_roots(2) == [1, p - 1]
