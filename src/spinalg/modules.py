@@ -402,10 +402,13 @@ def cokernel_length(gmap: GeneratorMap) -> int:
     <= m, the answer is the stable value of Q_m.  At t = 0 multiplying
     by x or y never lowers degree, so products of image generators by
     monomials of degree <= M span every image element of degree <= M,
-    making each Q_m exact.  Stops after three consecutive zero
-    increments, counted once m >= max(i, j, l); the top image degree
-    only sets the search cap max(i, j, l, image degree) + 8, past which
-    it raises RuntimeError.  The three-zero stop is a heuristic.
+    making each Q_m exact.  The image rows are eliminated once into an
+    echelon basis that is kept between degrees: each slice's coordinate
+    rows are reduced against it, and Q_m counts the pivots they added.
+    Stops after three consecutive zero increments, counted once
+    m >= max(i, j, l); the top image degree only sets the search cap
+    max(i, j, l, image degree) + 8, past which it raises RuntimeError.
+    The three-zero stop is a heuristic.
     """
     violation = check_well_defined(gmap)
     if violation is not None:
@@ -434,19 +437,18 @@ def cokernel_length(gmap: GeneratorMap) -> int:
             prod = (mu * im).specialize(0)
             if not prod.is_zero:
                 image_rows.append(_vectorize(prod, index))
-    image_rank = _linalg.rank(image_rows, p)
+    pivots: dict[int, list[int]] = {}
+    image_rank, reduced = _linalg.row_reduce(image_rows, p)
+    for row in reduced[:image_rank]:
+        _linalg.extend_basis(pivots, row, p)
 
-    def unit_row(key):
-        row = [0] * len(basis)
-        row[index[key]] = 1
-        return row
-
-    coordinate_rows: list[list[int]] = []
-    prev_q = 0
+    q = prev_q = 0
     zeros = 0
     for m in range(cap + 1):
-        coordinate_rows.extend(unit_row(key) for key in monomial_basis(pres, m))
-        q = _linalg.rank(image_rows + coordinate_rows, p) - image_rank
+        for key in monomial_basis(pres, m):
+            row = [0] * len(basis)
+            row[index[key]] = 1
+            q += _linalg.extend_basis(pivots, row, p)
         if m > 0 and q == prev_q and m >= max(pres.i, pres.j, ring.l):
             zeros += 1
             if zeros == 3:

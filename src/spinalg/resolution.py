@@ -65,27 +65,31 @@ def resolution_exact_check(field: FieldConfig, degree_bound: int) -> bool:
         # the degree-(m+1) slice of raw D is S_m*dz + S_m*dw (dz, dw count 1)
         mid = {mon: k for k, mon in enumerate(_basis(m))}
 
-        # relation rows: mu * (w*dz + z*dw) for mu in S_(m-1)
+        # relation rows: mu * (w*dz + z*dw) for mu in S_(m-1), eliminated once
         rel_rows = [_row(mid, _mul_var(mu, "w"), _mul_var(mu, "z")) for mu in dom]
-        rel_rank = _linalg.rank(rel_rows, p)
-
-        # second map on (S_m)^2: (f, g) -> f*dw + g*dz
-        second_rows = ([_row(mid, None, mon) for mon in mid]
-                       + [_row(mid, mon, None) for mon in mid])
-        second_rank = _linalg.rank(second_rows + rel_rows, p) - rel_rank
-        kernel_dim = 2 * len(mid) - second_rank
+        rel_rank, reduced = _linalg.row_reduce(rel_rows, p)
+        basis: dict[int, list[int]] = {}
+        for row in reduced[:rel_rank]:
+            _linalg.extend_basis(basis, row, p)
 
         # first map: f -> (z*f, w*f) into (S_m)^2
         first_rows = [_row(mid, _mul_var(mon, "z"), _mul_var(mon, "w")) for mon in dom]
         if _linalg.rank(first_rows, p) != len(dom):  # injectivity
             return False
 
-        # composite: (z*f)*dw + (w*f)*dz must die modulo the relation
+        # composite: (z*f)*dw + (w*f)*dz must die modulo the relation, so
+        # it adds no pivot (and a row in the span leaves the basis as it is)
         for mon in dom:
             row = _row(mid, _mul_var(mon, "w"), _mul_var(mon, "z"))
-            if _linalg.rank(rel_rows + [row], p) != rel_rank:
+            if _linalg.extend_basis(basis, row, p):
                 return False
 
+        # second map on (S_m)^2: (f, g) -> f*dw + g*dz; its rank into D is
+        # the count of pivots its rows add to the relation basis
+        second_rows = ([_row(mid, None, mon) for mon in mid]
+                       + [_row(mid, mon, None) for mon in mid])
+        second_rank = sum(_linalg.extend_basis(basis, row, p) for row in second_rows)
+        kernel_dim = 2 * len(mid) - second_rank
         if kernel_dim != len(dom):  # exactness in the middle
             return False
     return True

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from spinalg._linalg import rank, row_reduce
+from spinalg._linalg import extend_basis, rank, row_reduce
 
 P = 7
 
@@ -37,3 +37,22 @@ def test_row_reduce_returns_echelon_rows():
     assert r == 2
     assert rows[0][0] != 0 and rows[1][0] == 0 and rows[1][1] != 0
     assert not any(rows[2])
+
+
+@given(matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_extend_basis_adds_one_pivot_per_new_rank(rows, data):
+    split = data.draw(st.integers(min_value=0, max_value=len(rows)))
+    prefix_rank, reduced = row_reduce(rows[:split], P)
+    basis: dict[int, list[int]] = {}
+    for row in reduced[:prefix_rank]:
+        assert extend_basis(basis, row, P)
+    added = 0
+    for row in rows[split:]:
+        before = list(basis.values())
+        in_span = rank(before + [row], P) == rank(before, P)
+        grew = extend_basis(basis, row, P)
+        assert grew is not in_span
+        added += grew
+    assert added == rank(rows, P) - prefix_rank
+    assert all(row[col] == 1 and not any(row[:col]) for col, row in basis.items())

@@ -219,6 +219,20 @@ def test_cokernel_length_non_monomial_graded_map():
         assert cokernel_length(gm) == length
 
 
+@pytest.mark.parametrize("p", [5, 13, 97])
+def test_cokernel_length_mixed_degree_maps(p):
+    # multiplication by f on the free module at l = 2: the cokernel is R/(f) with
+    # x*y = 0, and f times x^a or y^b leaves one pure power, so cancellation runs
+    # across slices: x + y^2 kills x^2.., y^3.. and identifies x with -y^2 (1, y, y^2)
+    r2 = ring(2, p=p)
+    x, y = r2.x, r2.y
+    free = make_module(r2, 0, 0)
+    for f, length in ((x() + y(), 2), (x(2) + 3 * y(2), 4), (x() + y(2), 3),
+                      (x(3) + y(), 4), (x(2) + y(3), 5)):
+        gm = GeneratorMap(LinearSource(free), free, {1: free.element(f)})
+        assert cokernel_length(gm) == length
+
+
 def test_cokernel_length_raises_on_infinite_cokernel():
     # the zero map and multiplication by t both vanish at t = 0, so the
     # cokernel is all of M(1,1): infinite-dimensional, never a length
