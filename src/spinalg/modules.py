@@ -338,15 +338,6 @@ class RelationViolation:
         return f"RelationViolation({self.description}: defect {self.defect})"
 
 
-def _relation_defects(gmap: GeneratorMap):
-    """Yield (description, defect) for every source relation pushed through the images."""
-    for description, rel in gmap.source.relations():
-        defect = gmap.target.zero()
-        for coeff, key in rel:
-            defect = defect + coeff * gmap.images[key]
-        yield description, defect
-
-
 def check_well_defined(gmap: GeneratorMap) -> RelationViolation | None:
     """First source relation violated with t generic, or None.
 
@@ -354,7 +345,10 @@ def check_well_defined(gmap: GeneratorMap) -> RelationViolation | None:
     so a pass certifies every specialization; the converse fails, which
     is what makes extra maps appear at t = 0.
     """
-    for description, defect in _relation_defects(gmap):
+    for description, rel in gmap.source.relations():
+        defect = gmap.target.zero()
+        for coeff, key in rel:
+            defect = defect + coeff * gmap.images[key]
         if not defect.is_zero:
             return RelationViolation(description, defect)
     return None
@@ -380,13 +374,10 @@ def monomial_basis(pres: ModulePresentation, degree: int) -> tuple[tuple[int, in
 def _vectorize(elem: ModuleElement, index: dict[tuple[int, int], int]) -> list[int]:
     """Coordinates of a t-specialized element in the monomial basis slices."""
     vec = [0] * len(index)
-    pres = elem.presentation
     for (xe, ye, te), c in elem.f.terms.items():
         if te:
             raise ValueError("element is not specialized")
         key = (1, xe) if ye == 0 else (2, ye)
-        if pres.is_free and xe == 0 and ye == 0:
-            key = (1, 0)
         vec[index[key]] = c
     for (xe, ye, te), c in elem.g.terms.items():
         if te:
@@ -402,9 +393,10 @@ def cokernel_length(gmap: GeneratorMap) -> int:
     <= m, the answer is the stable value of Q_m.  At t = 0 multiplying
     by x or y never lowers degree, so products of image generators by
     monomials of degree <= M span every image element of degree <= M,
-    making each Q_m exact.  The image rows are eliminated once into an
-    echelon basis that is kept between degrees: each slice's coordinate
-    rows are reduced against it, and Q_m counts the pivots they added.
+    making each Q_m exact.  _linalg.row_reduce puts the image rows into
+    an echelon basis once; each slice's coordinate rows are then reduced
+    against that same basis by _linalg.extend_basis, and Q_m counts the
+    pivots they add.
     Stops after three consecutive zero increments, counted once
     m >= max(i, j, l); the top image degree only sets the search cap
     max(i, j, l, image degree) + 8, past which it raises RuntimeError.
@@ -437,10 +429,7 @@ def cokernel_length(gmap: GeneratorMap) -> int:
             prod = (mu * im).specialize(0)
             if not prod.is_zero:
                 image_rows.append(_vectorize(prod, index))
-    pivots: dict[int, list[int]] = {}
-    image_rank, reduced = _linalg.row_reduce(image_rows, p)
-    for row in reduced[:image_rank]:
-        _linalg.extend_basis(pivots, row, p)
+    _, pivots = _linalg.row_reduce(image_rows, p)
 
     q = prev_q = 0
     zeros = 0

@@ -65,23 +65,21 @@ def resolution_exact_check(field: FieldConfig, degree_bound: int) -> bool:
         # the degree-(m+1) slice of raw D is S_m*dz + S_m*dw (dz, dw count 1)
         mid = {mon: k for k, mon in enumerate(_basis(m))}
 
-        # relation rows: mu * (w*dz + z*dw) for mu in S_(m-1), eliminated once
+        # relation rows: mu * (w*dz + z*dw) for mu in S_(m-1)
         rel_rows = [_row(mid, _mul_var(mu, "w"), _mul_var(mu, "z")) for mu in dom]
-        rel_rank, reduced = _linalg.row_reduce(rel_rows, p)
-        basis: dict[int, list[int]] = {}
-        for row in reduced[:rel_rank]:
-            _linalg.extend_basis(basis, row, p)
+        _, basis = _linalg.row_reduce(rel_rows, p)
 
         # first map: f -> (z*f, w*f) into (S_m)^2
         first_rows = [_row(mid, _mul_var(mon, "z"), _mul_var(mon, "w")) for mon in dom]
-        if _linalg.rank(first_rows, p) != len(dom):  # injectivity
+        if _linalg.row_reduce(first_rows, p)[0] != len(dom):  # injectivity
             return False
 
-        # composite: (z*f)*dw + (w*f)*dz must die modulo the relation, so
+        # composite: the second map (f, g) -> f*dw + g*dz swaps the halves
+        # of a first-map row; the result must die modulo the relation, so
         # it adds no pivot (and a row in the span leaves the basis as it is)
-        for mon in dom:
-            row = _row(mid, _mul_var(mon, "w"), _mul_var(mon, "z"))
-            if _linalg.extend_basis(basis, row, p):
+        half = len(mid)
+        for row in first_rows:
+            if _linalg.extend_basis(basis, row[half:] + row[:half], p):
                 return False
 
         # second map on (S_m)^2: (f, g) -> f*dw + g*dz; its rank into D is
