@@ -37,9 +37,7 @@ class TermRing:
     __slots__ = ()
 
     def from_terms(self, raw):
-        """Element from an iterable or mapping of exponent tuples to coefficients."""
-        if hasattr(raw, "items"):
-            raw = raw.items()
+        """Element from an iterable of (exponents, coefficient) pairs."""
         fold, p = self._fold, self.field.p
         terms = {}
         for key, coeff in raw:

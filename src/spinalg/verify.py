@@ -42,7 +42,7 @@ from .products import (
     product_map,
     sym_power_map,
 )
-from .resolution import resolution_exact_check
+from .resolution import DECIDING_DEGREE, resolution_exact_check
 from .ring import LaurentRing, NodeRing
 
 Cases = Iterator[str | None]
@@ -379,11 +379,11 @@ def suite_automorphisms(max_r: int) -> Cases:
 # -- resolution --------------------------------------------------------------
 
 
-def suite_resolution(max_degree: int) -> Cases:
+def suite_resolution() -> Cases:
+    """One case per prime at the deciding degree, which covers every degree."""
     for p in (5, 7, 13):
-        for bound in range(max_degree + 1):
-            yield (None if resolution_exact_check(FieldConfig(p, 1), bound) else
-                   f"p={p}: resolution fails by degree {bound}")
+        yield (None if resolution_exact_check(FieldConfig(p, 1), DECIDING_DEGREE) else
+               f"p={p}: resolution not exact in some degree <= {DECIDING_DEGREE}")
 
 
 # -- stratum enumeration ------------------------------------------------------
@@ -614,7 +614,7 @@ SUITES: tuple[Suite, ...] = (
     Suite("localized-products", suite_localized, lambda max_r: (max_r,)),
     Suite("duality", suite_duality, lambda max_r: (max_r,)),
     Suite("automorphisms", suite_automorphisms, lambda max_r: (max_r,)),
-    Suite("resolution-exactness", suite_resolution, lambda max_r: (8,)),
+    Suite("resolution-exactness", suite_resolution, lambda max_r: ()),
     Suite("stratum-enumeration", suite_enumeration, lambda max_r: (min(max_r, 6),)),
     Suite("closed-forms", suite_closed_forms, lambda max_r: ()),
     Suite("oracle-agreement", suite_oracle_agreement, lambda max_r: (max_r,)),

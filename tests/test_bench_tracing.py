@@ -40,11 +40,14 @@ def test_tracer_installs_on_every_entry_point_and_uninstalls():
             assert _bound(target, attr).__wrapped__ is orig, (target, attr)
         ring = api.ring.NodeRing(api.field.FieldConfig.for_level(2), 2)
         length = api.modules.cokernel_length(api.products.power_map(ring, 2, 2, 1, 1, 1))
+        # positional, as the cokernel workload calls it
+        exact = api.resolution.resolution_exact_check(api.field.FieldConfig(5, 1), 8)
     finally:
         tracer.uninstall()
     assert length == 1
+    assert exact
     for name in ("modules.cokernel_length", "modules.check_well_defined", "ring.specialize",
-                 "products.power_map", "ring.mul", "linalg.row_reduce"):
+                 "products.power_map", "ring.mul", "linalg.row_reduce", "resolution.exact_check"):
         assert tracer.calls[name] > 0, name
     for target, attr, orig in patched:
         assert _bound(target, attr) is orig, (target, attr)

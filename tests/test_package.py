@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -30,3 +31,11 @@ def test_suites_load_only_for_verify_algebra():
     run = _python("-m", "spinalg.cli", "verify-algebra", "--max-r", "1")
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "result: PASS"
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml promises Python >= 3.10; every module parses with that grammar."""
+    sources = sorted((SRC / "spinalg").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
