@@ -18,7 +18,9 @@ TensorSource, SymPowerSource) owns its generator keys, the coefficients
 of its arguments on those keys, and its relations as combinations of
 keys; GeneratorMap.apply sums coefficient * image, and
 check_well_defined pushes every relation through the images and reports
-the first nonzero defect, without either knowing the source kind.
+the first nonzero defect, without either knowing the source kind.  Both
+sum the e1 and e2 ring parts first and normalize once (_combine): exact,
+since element is linear, so normalizing the sum is the sum of normal forms.
 """
 from __future__ import annotations
 
@@ -68,22 +70,26 @@ class ModulePresentation:
             c1 = ring.const(c1)
         if isinstance(c2, int):
             c2 = ring.const(c2)
-        if c1.ring != ring or c2.ring != ring:
+        if any(c.ring is not ring and c.ring != ring for c in (c1, c2)):
             raise ValueError("coefficients live in a different ring")
         if self.is_free:
             return ModuleElement(self, c1 + c2, ring.zero())
-        f_raw, g_raw = [], []
+        # c1 and c2 are normal forms, so only a moved c1 term and a c2 term
+        # can share a key (on e2), or a c1 term and a moved c2 term (on e1)
+        p, f, g = ring.field.p, {}, {}
         for (xe, ye, te), c in c1.terms.items():
-            if ye == 0:
-                f_raw.append(((xe, 0, te), c))
+            if ye:
+                g[(0, ye - 1, te + self.i)] = c
             else:
-                g_raw.append(((0, ye - 1, te + self.i), c))
+                f[(xe, 0, te)] = c
         for (xe, ye, te), c in c2.terms.items():
-            if xe == 0:
-                g_raw.append(((0, ye, te), c))
+            part, key = (f, (xe - 1, 0, te + self.j)) if xe else (g, (0, ye, te))
+            c = (part.get(key, 0) + c) % p
+            if c:
+                part[key] = c
             else:
-                f_raw.append(((xe - 1, 0, te + self.j), c))
-        return ModuleElement(self, ring.from_terms(f_raw), ring.from_terms(g_raw))
+                part.pop(key)
+        return ModuleElement(self, RingElement(ring, f), RingElement(ring, g))
 
     def generator(self, key: int) -> ModuleElement:
         if key not in self.generator_keys:
@@ -127,7 +133,7 @@ class ModuleElement:
         return self.f.is_zero and self.g.is_zero
 
     def _check(self, other: ModuleElement):
-        if self.presentation != other.presentation:
+        if self.presentation is not other.presentation and self.presentation != other.presentation:
             raise ValueError("elements live in different modules")
 
     def __add__(self, other: ModuleElement):
@@ -207,7 +213,7 @@ class LinearSource:
 
     def coefficients(self, *elements: ModuleElement):
         (m,) = elements
-        if m.presentation != self.module:
+        if m.presentation is not self.module and m.presentation != self.module:
             raise ValueError("argument lives off the source module")
         return tuple(zip(self.module.generator_keys, (m.f, m.g)))
 
@@ -228,7 +234,8 @@ class TensorSource:
 
     def coefficients(self, *elements: ModuleElement):
         a, b = elements
-        if a.presentation != self.left or b.presentation != self.right:
+        # tuple comparison tries identity before __eq__ on each entry
+        if (a.presentation, b.presentation) != (self.left, self.right):
             raise ValueError("arguments live off the source modules")
         # only nonzero factors are multiplied
         for ka, ca in zip(self.left.generator_keys, (a.f, a.g)):
@@ -271,13 +278,14 @@ class SymPowerSource:
         if len(elements) != self.power:
             raise ValueError(f"expected {self.power} arguments")
         for m in elements:
-            if m.presentation != self.module:
+            if m.presentation is not self.module and m.presentation != self.module:
                 raise ValueError("argument lives off the source module")
-        # a free module has g = 0, so only coeffs[0] ever appears
+        # a free module has g = 0, so only coeffs[0] ever appears; a zero
+        # part (an argument on one generator) adds no products
         ring = self.module.ring
         coeffs = [ring.one()]
         for m in elements:
-            nxt = [c * m.f for c in coeffs]
+            nxt = [ring.zero()] * len(coeffs) if m.f.is_zero else [c * m.f for c in coeffs]
             if not m.g.is_zero:
                 nxt.append(ring.zero())
                 for k, c in enumerate(coeffs):
@@ -303,7 +311,7 @@ class GeneratorMap:
         if set(images) != set(keys):
             raise ValueError(f"images must cover exactly the keys {keys}")
         for key, img in images.items():
-            if img.presentation != target:
+            if img.presentation is not target and img.presentation != target:
                 raise ValueError(f"image for {key} lives off the target module")
         self.source = source
         self.target = target
@@ -313,16 +321,30 @@ class GeneratorMap:
         """Evaluate on module elements, one per source slot.
 
         Linear: one argument.  Tensor: (left, right).  Symmetric power m:
-        m arguments, in any order since the images are symmetric.
+        m arguments, in any order since the images are symmetric.  The sum
+        of coefficient * image is normalized once, by _combine.
         """
-        out = self.target.zero()
-        for key, c in self.source.coefficients(*elements):
-            if not c.is_zero:
-                out = out + c * self.images[key]
-        return out
+        images = self.images
+        return _combine(self.target, ((c, images[key])
+                                      for key, c in self.source.coefficients(*elements)))
 
     def __repr__(self):
         return f"GeneratorMap({self.source!r} -> {self.target!r})"
+
+
+def _combine(target: ModulePresentation, pairs) -> ModuleElement:
+    """Sum of c * image over (c, image) pairs with one target.element call.
+
+    element is linear, so element(sum of c*f, sum of c*g) is the sum of the
+    element(c*f, c*g) = c * image.  Zero parts and coefficients add no products.
+    """
+    f = g = target.ring.zero()
+    for c, img in pairs:
+        if not (c.is_zero or img.f.is_zero):
+            f = f + c * img.f
+        if not (c.is_zero or img.g.is_zero):
+            g = g + c * img.g
+    return target.element(f, g)
 
 
 class RelationViolation:
@@ -343,12 +365,12 @@ def check_well_defined(gmap: GeneratorMap) -> RelationViolation | None:
 
     A defect that is zero with t generic stays zero at every value of t,
     so a pass certifies every specialization; the converse fails, which
-    is what makes extra maps appear at t = 0.
+    is what makes extra maps appear at t = 0.  Each defect is normalized
+    once, by _combine, and equals the term-by-term module sum.
     """
+    target, images = gmap.target, gmap.images
     for description, rel in gmap.source.relations():
-        defect = gmap.target.zero()
-        for coeff, key in rel:
-            defect = defect + coeff * gmap.images[key]
+        defect = _combine(target, ((coeff, images[key]) for coeff, key in rel))
         if not defect.is_zero:
             return RelationViolation(description, defect)
     return None

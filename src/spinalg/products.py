@@ -26,7 +26,7 @@ from .modules import (
     TensorSource,
     make_module,
 )
-from .ring import NodeRing
+from .ring import NodeRing, RingElement
 
 
 def _chart_image(target: ModulePresentation, a: int, b: int) -> ModuleElement:
@@ -35,11 +35,14 @@ def _chart_image(target: ModulePresentation, a: int, b: int) -> ModuleElement:
     Invariance gives a - b = i (mod l) for the target's (i, j), so z^a w^b
     = t^b z^(a-b) is t^b x^((a-b-i)/l) e1 when a - b >= i, and otherwise
     t^a w^(b-a) = t^a y^((b-a-j)/l) e2 (a free target identifies e2 with e1).
+    Either term is already a module normal form (no y on e1, no x on e2),
+    so the element is built directly, without target.element.
     """
-    ring, l = target.ring, target.ring.l
+    ring, l, zero = target.ring, target.ring.l, target.ring.zero()
     if a - b >= target.i:
-        return target.element(ring.monomial(x=(a - b - target.i) // l, t=b), 0)
-    return target.element(0, ring.monomial(y=(b - a - target.j) // l, t=a))
+        return ModuleElement(target, RingElement(ring, {((a - b - target.i) // l, 0, b): 1}), zero)
+    term = RingElement(ring, {(0, (b - a - target.j) // l, a): 1})
+    return ModuleElement(target, term, zero) if target.is_free else ModuleElement(target, zero, term)
 
 
 def product_map(a: ModulePresentation, b: ModulePresentation) -> GeneratorMap:

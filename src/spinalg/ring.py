@@ -88,9 +88,10 @@ class TermElement:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not type(self) or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         p = self.ring.field.p
         terms = dict(self.terms)
         for key, c in other.terms.items():
@@ -120,9 +121,10 @@ class TermElement:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not type(self) or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         ring = self.ring
         p = ring.field.p
         mul_keys = ring._mul_keys

@@ -4,11 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinalg.field import FieldConfig
 from spinalg.modules import (
     GeneratorMap,
     LinearSource,
+    ModuleElement,
+    ModulePresentation,
     SymPowerSource,
     TensorSource,
     check_well_defined,
@@ -245,3 +248,141 @@ def test_cokernel_length_raises_on_infinite_cokernel():
         assert check_well_defined(gm) is None
         with pytest.raises(RuntimeError, match="did not stabilize"):
             cokernel_length(gm)
+
+
+# -- element and the shared sum against term-by-term references ----------
+
+
+def _reference_element(pres, c1, c2):
+    """c1 * e1 + c2 * e2 by collecting every rewritten term, then from_terms."""
+    ring = pres.ring
+    if pres.is_free:
+        return ModuleElement(pres, c1 + c2, ring.zero())
+    f_raw, g_raw = [], []
+    for (xe, ye, te), c in c1.terms.items():
+        if ye == 0:
+            f_raw.append(((xe, 0, te), c))
+        else:
+            g_raw.append(((0, ye - 1, te + pres.i), c))
+    for (xe, ye, te), c in c2.terms.items():
+        if xe == 0:
+            g_raw.append(((0, ye, te), c))
+        else:
+            f_raw.append(((xe - 1, 0, te + pres.j), c))
+    return ModuleElement(pres, ring.from_terms(f_raw), ring.from_terms(g_raw))
+
+
+raw_terms = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+                               st.integers(-200, 200)), max_size=6)
+
+
+def _module(p: int, l: int, k: int):
+    """M(0, 0) for k = 0, else M(k, l - k), over the node ring at l and p."""
+    k %= l
+    return make_module(ring(l, p), k, l - k if k else 0)
+
+
+def _coeff(r: NodeRing, raw):
+    return r.from_terms([((xe, ye, te), c) for xe, ye, te, c in raw])
+
+
+@given(st.sampled_from([3, 5, 97]), st.integers(1, 6), st.integers(0, 5), raw_terms, raw_terms)
+# y on e1 moves to t^i on e2 and cancels -t there mod 3
+@example(3, 2, 1, [(0, 1, 0, 1)], [(0, 0, 1, 2)])
+@settings(max_examples=300, deadline=None)
+def test_element_matches_reference(p, l, k, raw1, raw2):
+    pres = _module(p, l, k)
+    c1, c2 = _coeff(pres.ring, raw1), _coeff(pres.ring, raw2)
+    got = pres.element(c1, c2)
+    assert got == _reference_element(pres, c1, c2)
+    assert 0 not in got.f.terms.values() and 0 not in got.g.terms.values()
+
+
+def _termwise_apply(gmap: GeneratorMap, elements):
+    """Reference apply: every term of the multilinear expansion added as coeff * image."""
+    tensor = isinstance(gmap.source, TensorSource)
+    out = gmap.target.zero()
+    for choice in itertools.product((1, 2), repeat=len(elements)):
+        coeff = gmap.target.ring.one()
+        for elem, k in zip(elements, choice):
+            coeff = coeff * (elem.f if k == 1 else elem.g)
+        if not coeff.is_zero:
+            out = out + coeff * gmap.images[choice if tensor else choice.count(2)]
+    return out
+
+
+def _draw_element(draw, pres):
+    """Module element that may sit on one generator or be zero."""
+    return pres.element(_coeff(pres.ring, draw(raw_terms)), _coeff(pres.ring, draw(raw_terms)))
+
+
+@st.composite
+def maps_and_arguments(draw):
+    """A product map or a Sym^m map (l <= 6, m <= 5) with random arguments."""
+    p = draw(st.sampled_from([5, 97]))
+    l = draw(st.integers(1, 6))
+    a = _module(p, l, draw(st.integers(0, 5)))
+    if draw(st.booleans()):
+        gmap = product_map(a, _module(p, l, draw(st.integers(0, 5))))
+        modules = (gmap.source.left, gmap.source.right)
+    else:
+        gmap = sym_power_map(a, draw(st.integers(1, 5)))
+        modules = (a,) * gmap.source.power
+    return gmap, [_draw_element(draw, m) for m in modules]
+
+
+@given(maps_and_arguments())
+@settings(max_examples=200, deadline=None)
+def test_apply_matches_termwise_sum(case):
+    gmap, elements = case
+    assert gmap.apply(*elements) == _termwise_apply(gmap, elements)
+
+
+def _reference_violation(gmap: GeneratorMap):
+    """First (description, defect) with the defect summed term by term, or None."""
+    for description, rel in gmap.source.relations():
+        defect = gmap.target.zero()
+        for coeff, key in rel:
+            defect = defect + coeff * gmap.images[key]
+        if not defect.is_zero:
+            return description, defect
+    return None
+
+
+@given(maps_and_arguments(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_check_well_defined_matches_termwise_defects(case, data):
+    gmap, _ = case
+    key = data.draw(st.sampled_from(sorted(gmap.images)))
+    images = dict(gmap.images)
+    images[key] = images[key] + _draw_element(data.draw, gmap.target)
+    broken = GeneratorMap(gmap.source, gmap.target, images)
+    violation = check_well_defined(broken)
+    expected = _reference_violation(broken)
+    if expected is None:
+        assert violation is None
+    else:
+        assert (violation.description, violation.defect) == expected
+
+
+def test_apply_and_each_relation_normalize_once(monkeypatch):
+    calls = []
+    element = ModulePresentation.element
+
+    def counted(self, c1, c2=0):
+        calls.append(self)
+        return element(self, c1, c2)
+
+    rng = random.Random(1717)
+    r4 = ring(4)
+    a, b = make_module(r4, 1, 3), make_module(r4, 2, 2)
+    cases = [(product_map(a, b), [random_element(rng, a), random_element(rng, b)]),
+             (sym_power_map(a, 4), [random_element(rng, a) for _ in range(4)])]
+    monkeypatch.setattr(ModulePresentation, "element", counted)
+    for gmap, args in cases:
+        calls.clear()
+        gmap.apply(*args)
+        assert len(calls) == 1
+        calls.clear()
+        assert check_well_defined(gmap) is None
+        assert len(calls) == len(gmap.source.relations()) > 0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinalg.field import FieldConfig
+from spinalg.oracle import SpinChart
 from spinalg.ring import LaurentRing, NodeRing
 
 
@@ -119,3 +120,24 @@ def test_ring_validation():
     r2 = ring(2)
     with pytest.raises(ValueError):
         r2.monomial(x=-1)
+
+
+def test_operands_from_equal_rings_ints_and_foreign_rings():
+    # the same-ring fast path must not change which operands combine
+    field = FieldConfig(7, 1)
+    r, twin = NodeRing(field, 2), NodeRing(FieldConfig(7, 1), 2)
+    assert r is not twin and r == twin
+    x, y = r.x(), twin.y()
+    assert x + y == r.x() + r.y() and y + x == r.x() + r.y()
+    assert x * y == r.t(2) and y * x == r.t(2)
+    assert 3 * x == r.monomial(3, x=1) == x * 3
+    assert x + 3 == r.x() + r.const(3) == 3 + x
+    assert 3 - x == r.const(3) - r.x() and (3 - x) + x == 3
+    foreign = [NodeRing(field, 3).x(), LaurentRing(field, "x").monomial(1, 1),
+               SpinChart(field, 2, 1).monomial(z=1)]
+    for other in foreign:
+        for op in (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a - b):
+            with pytest.raises(ValueError, match="elements live in different rings"):
+                op(x, other)
+            with pytest.raises(ValueError, match="elements live in different rings"):
+                op(other, x)
