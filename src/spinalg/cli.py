@@ -2,6 +2,9 @@
 
 Subcommands: chi, strata, local-model, oracle, verify-algebra.  Reports
 are plain text, versioned, and byte-deterministic for fixed inputs.
+Each command returns (exit code, report lines) and writes nothing; main
+writes the report header and the lines at once when the command returns,
+so a refused input leaves stdout empty.
 Exit codes: 0 success, 1 invalid input, 2 verification failure.
 """
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .twists import index_from_twist
 
 REPORT_TAG = "# spinalg report v1"
 PRIME_ENV = "SPINALG_FIELD_PRIME"
+Report = tuple[int, list[str]]  # (exit code, report lines below the header)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,19 +44,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"spinalg: error: {message}\n")
 
 
-def _env_prime() -> int | None:
+def _prime(explicit: int | None) -> int | None:
+    """--p if given, else SPINALG_FIELD_PRIME if set, else None."""
     raw = os.environ.get(PRIME_ENV)
-    if raw is None:
-        return None
+    if explicit is not None or raw is None:
+        return explicit
     try:
         return int(raw)
     except ValueError:
         raise ValueError(f"{PRIME_ENV} must be an integer, got {raw!r}")
-
-
-def _field(r: int, explicit: int | None) -> FieldConfig:
-    p = explicit if explicit is not None else _env_prime()
-    return FieldConfig.for_level(r, p)
 
 
 @contextmanager
@@ -72,19 +72,13 @@ def _type_lines(m: tuple[int, ...]) -> str:
 # -- chi ------------------------------------------------------------------
 
 
-def _cmd_chi(args) -> int:
+def _cmd_chi(args) -> Report:
     m = tuple(args.m)
     value = spin_chi(args.g, args.n, args.r, m)
-    print(REPORT_TAG)
-    print("command: chi")
-    print(f"g: {args.g}  n: {args.n}  r: {args.r}")
-    print(_type_lines(m))
     if value is None:
         numerator = 2 * args.g - 2 + args.n - sum(m)
-        print(f"chi = non-integral ({args.r} does not divide {numerator})")
-    else:
-        print(f"chi = {value}")
-    return 0
+        value = f"non-integral ({args.r} does not divide {numerator})"
+    return 0, [f"g: {args.g}  n: {args.n}  r: {args.r}", _type_lines(m), f"chi = {value}"]
 
 
 # -- strata ---------------------------------------------------------------
@@ -149,32 +143,15 @@ def parse_graph_document(doc: dict) -> tuple[DualGraph, int, tuple[int, ...], in
     return graph, r, m, prime
 
 
-def graph_document(graph: DualGraph, r: int, m: tuple[int, ...],
-                   field_prime: int | None = None) -> dict:
-    """The JSON document for a graph; inverse of parse_graph_document."""
-    doc = {
-        "r": r,
-        "m": list(m),
-        "vertices": [{"id": v, "genus": g} for v, g in graph.vertices],
-        "edges": [[a, b] for a, b in graph.edges],
-        "legs": [{"vertex": v, "marking": mk} for v, mk in graph.legs],
-    }
-    if field_prime is not None:
-        doc["field_prime"] = field_prime
-    return doc
-
-
-def _cmd_strata(args) -> int:
+def _cmd_strata(args) -> Report:
     with open(args.graph, "r", encoding="utf-8") as fh, _nesting_limit("graph JSON"):
         doc = json.load(fh)
     graph, r, m, prime = parse_graph_document(doc)
-    # raises on an unstable graph, before any report line is written
     assignments = enumerate_assignments(graph, r, m)
     g = graph_genus(graph)
     n = graph.n_markings
     chi = spin_chi(g, n, r, m)
-    lines = [REPORT_TAG, "command: strata",
-             f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges, {n} legs",
+    lines = [f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges, {n} legs",
              f"genus: {g}", "stable: yes", f"r: {r}"]
     if prime is not None:
         lines.append(f"field: p={prime}")
@@ -196,8 +173,7 @@ def _cmd_strata(args) -> int:
     for idx, heads in enumerate(assignments, start=1):
         edges = " ".join([cell(e, k) for e, k in enumerate(heads)])
         lines.append(f"  {idx}. legs [{legs}] edges [{edges}]")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return 0, lines
 
 
 # -- local-model ------------------------------------------------------------
@@ -210,61 +186,55 @@ def _module_line(pres) -> str:
             f"relations t^{pres.j}*e1 = x*e2, t^{pres.i}*e2 = y*e1")
 
 
+def _grade_name(pres) -> str:
+    return f"M({pres.i},{pres.j}){' free' if pres.is_free else ''}"
+
+
 def _divisors_descending(n: int) -> list[int]:
     """The divisors of n, largest first, by trial division up to sqrt(n)."""
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     return [n // d for d in small] + [d for d in reversed(small) if d * d != n]
 
 
-def _cmd_local_model(args) -> int:
+def _cmd_local_model(args) -> Report:
     for flag in ("r", "l"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag} must be a positive integer, got {getattr(args, flag)}")
     if args.r % args.l != 0:
         raise ValueError(f"l={args.l} must divide r={args.r}")
-    field = _field(args.r, args.p)
+    field = FieldConfig.for_level(args.r, _prime(args.p))
     ring = NodeRing(field, args.l)
     i = args.i % args.l
     j = (args.l - i) % args.l
     pres = make_module(ring, i, j)
-    # built before the report so that a bad radius prints nothing
-    window = None if args.window is None else algebra_window(ring, i, j, args.r, args.window)
-    print(REPORT_TAG)
-    print("command: local-model")
-    print(f"field: p={field.p}, r={field.r}")
-    print(f"ring: K[t][x,y]/(x*y - t^{args.l})")
-    print("module " + _module_line(pres))
+    lines = [f"field: p={field.p}, r={field.r}", f"ring: K[t][x,y]/(x*y - t^{args.l})",
+             "module " + _module_line(pres)]
     if args.tiers:
-        print(f"tiers (d | {args.r}):")
-        for d in _divisors_descending(args.r):
-            tier = pres.grade(args.r // d)
-            tag = " free" if tier.is_free else ""
-            print(f"  d={d}: M({tier.i},{tier.j}){tag}")
+        lines.append(f"tiers (d | {args.r}):")
+        lines += [f"  d={d}: {_grade_name(pres.grade(args.r // d))}"
+                  for d in _divisors_descending(args.r)]
     if args.products:
         for i2 in range(args.l):
             j2 = (args.l - i2) % args.l
-            partner = make_module(ring, i2, j2)
-            pm = product_map(pres, partner)
-            print(f"product with M({i2},{j2}) -> M({pm.target.i},{pm.target.j}):")
-            for key in sorted(pm.images):
-                print(f"  (e{key[0]},e{key[1]}) -> {pm.images[key]}")
+            pm = product_map(pres, make_module(ring, i2, j2))
+            lines.append(f"product with M({i2},{j2}) -> M({pm.target.i},{pm.target.j}):")
+            lines += [f"  (e{a},e{b}) -> {pm.images[a, b]}" for a, b in sorted(pm.images)]
         for d in _divisors_descending(args.r):
             for e in _divisors_descending(d):
                 gm = power_map(ring, args.r, d, e, i, j)
-                print(f"power {d}->{e} from M({gm.source.module.i},{gm.source.module.j}) "
-                      f"to M({gm.target.i},{gm.target.j}):")
-                for key in sorted(gm.images):
-                    print(f"  e1^{gm.source.power - key}e2^{key} -> {gm.images[key]}")
-    if window is not None:
-        print(f"window radius {args.window}:")
-        for grade in range(-args.window, args.window + 1):
-            pres_g = window.grades[grade]
-            tag = " free" if pres_g.is_free else ""
-            print(f"  grade {grade}: M({pres_g.i},{pres_g.j}){tag}")
+                lines.append(f"power {d}->{e} from M({gm.source.module.i},{gm.source.module.j}) "
+                             f"to M({gm.target.i},{gm.target.j}):")
+                lines += [f"  e1^{gm.source.power - key}e2^{key} -> {gm.images[key]}"
+                          for key in sorted(gm.images)]
+    if args.window is not None:
+        window = algebra_window(ring, i, j, args.r, args.window)
+        lines.append(f"window radius {args.window}:")
+        lines += [f"  grade {grade}: {_grade_name(window.grades[grade])}"
+                  for grade in range(-args.window, args.window + 1)]
         checked = sum(1 for gm in window.products.values()
                       if check_well_defined(gm) is None)
-        print(f"products: {len(window.products)} ({checked} well defined)")
-    return 0
+        lines.append(f"products: {len(window.products)} ({checked} well defined)")
+    return 0, lines
 
 
 # -- oracle -----------------------------------------------------------------
@@ -333,43 +303,31 @@ def parse_chart_expression(chart: SpinChart, text: str) -> UpstairsElement:
         return ev(tree)
 
 
-def _cmd_oracle(args) -> int:
-    p = args.p if args.p is not None else _env_prime()
+def _cmd_oracle(args) -> Report:
+    p = _prime(args.p)
     if p is None:
         p = 97  # roomy default so coefficients stay readable
     chart = SpinChart(FieldConfig(p, 1), args.l, args.b)
     elem = parse_chart_expression(chart, args.expr)
-    print(REPORT_TAG)
-    print("command: oracle")
-    print(f"chart: l={args.l}, b={args.b}, p={p}")
-    print(f"expr: {args.expr}")
-    print(f"normal form: {elem}")
-    chars = []
-    for mon, _c in elem.sorted_terms():
-        piece = repr(UpstairsElement(chart, {mon: 1}))
-        chars.append(f"{piece}: {chart.character(mon)}")
-    print("characters: " + ("; ".join(chars) if chars else "(zero)"))
-    print(f"invariant part: {elem.invariant_part()}")
-    return 0
+    chars = [f"{UpstairsElement(chart, {mon: 1})!r}: {chart.character(mon)}"
+             for mon, _c in elem.sorted_terms()]
+    return 0, [f"chart: l={args.l}, b={args.b}, p={p}", f"expr: {args.expr}",
+               f"normal form: {elem}", "characters: " + ("; ".join(chars) or "(zero)"),
+               f"invariant part: {elem.invariant_part()}"]
 
 
 # -- verify-algebra -----------------------------------------------------------
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Report:
     from . import verify  # imported here so that no other command compiles the suites
 
     if args.max_r < 1:
         raise ValueError(f"--max-r must be a positive integer, got {args.max_r}")
-    print(REPORT_TAG)
-    print("command: verify-algebra")
-    print(f"max-r: {args.max_r}")
     results = verify.run_all(max_r=args.max_r)
-    for res in results:
-        print(res.line())
     passed = all(res.passed for res in results)
-    print(f"result: {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 2
+    return (0 if passed else 2), [f"max-r: {args.max_r}", *(res.line() for res in results),
+                                  f"result: {'PASS' if passed else 'FAIL'}"]
 
 
 # -- entry ---------------------------------------------------------------------
@@ -421,10 +379,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code, lines = args.fn(args)
+        sys.stdout.write("\n".join([REPORT_TAG, f"command: {args.cmd}", *lines, ""]))
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"spinalg: error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

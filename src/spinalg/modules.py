@@ -94,7 +94,8 @@ class ModulePresentation:
     def generator(self, key: int) -> ModuleElement:
         if key not in self.generator_keys:
             raise ValueError(f"no generator {key} on {self}")
-        return self.element(1, 0) if key == 1 else self.element(0, 1)
+        one, zero = self.ring.one(), self.ring.zero()  # e1 and e2 are already normal forms
+        return ModuleElement(self, one, zero) if key == 1 else ModuleElement(self, zero, one)
 
     def relations(self) -> tuple[tuple[tuple[RingElement, int], ...], ...]:
         """Presentation relations as linear combinations of generators.

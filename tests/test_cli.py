@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spinalg.cli import build_parser, graph_document, main, parse_graph_document
+import spinalg.cli
+from spinalg.cli import build_parser, main, parse_graph_document
 from spinalg.dualgraph import DualGraph
 from spinalg.twists import index_from_twist
 
@@ -251,10 +253,10 @@ def test_strata_boundary_property(doc):
         assert err.getvalue() == ""
 
 
-# Property test at the argument boundary of chi, local-model and oracle: every
-# argv parses (integers where argparse wants them), so each reject comes from
-# the program.  r <= 12, window <= r + 1 and a fixed list of short expressions
-# keep each run small.
+# Property test at the argument boundary of chi, local-model, oracle and
+# verify-algebra: every argv parses (integers where argparse wants them), so
+# each reject comes from the program.  r <= 12, window <= r + 1, max-r <= 1
+# and a fixed list of short expressions keep each run small.
 _small = st.integers(-3, 13)
 _primes = st.sampled_from([None, "0", "1", "4", "5", "13", "37", "97", "318665857834031151167461"])
 _expressions = st.sampled_from([
@@ -268,7 +270,9 @@ def _option(name, value):
 
 @st.composite
 def _argvs(draw):
-    command = draw(st.sampled_from(["chi", "local-model", "oracle"]))
+    command = draw(st.sampled_from(["chi", "local-model", "oracle", "verify-algebra"]))
+    if command == "verify-algebra":
+        return ["verify-algebra", "--max-r", str(draw(st.integers(-2, 1)))]
     if command == "chi":
         return ["chi", *(str(draw(_small)) for _ in range(draw(st.integers(3, 7))))]
     if command == "oracle":
@@ -323,13 +327,10 @@ def test_bad_arguments_exit_with_one_line(capsys, argv, field):
 
 def test_graph_document_roundtrip():
     graph, r, m, prime = parse_graph_document(LOOP_DOC)
-    assert isinstance(graph, DualGraph)
+    assert graph == DualGraph((("v0", 0),), (("v0", "v0"),), (("v0", 1),))
     assert (r, m, prime) == (2, (1,), None)
-    assert graph_document(graph, r, m) == LOOP_DOC
-    with_prime = dict(LOOP_DOC, field_prime=5)
-    graph2, r2, m2, prime2 = parse_graph_document(with_prime)
-    assert prime2 == 5
-    assert graph_document(graph2, r2, m2, prime2) == with_prime
+    graph2, r2, m2, prime2 = parse_graph_document(dict(LOOP_DOC, field_prime=5))
+    assert (graph2, r2, m2, prime2) == (graph, 2, (1,), 5)
 
 
 def test_graph_document_rejects_bad_prime():
@@ -503,3 +504,22 @@ def test_unknown_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 1
+
+
+def test_main_is_the_only_stdout_writer():
+    # a command returns its report lines, so a refused input cannot leave half a report
+    tree = ast.parse(Path(spinalg.cli.__file__).read_text())
+    main_def = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main_def)}
+    writes, prints = [], []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if ast.unparse(node.func) == "sys.stdout.write":
+            writes.append(id(node) in in_main)
+        elif isinstance(node.func, ast.Name) and node.func.id == "print":
+            prints.append(any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+                              for kw in node.keywords))
+    assert writes == [True]
+    assert prints and all(prints)

@@ -62,6 +62,21 @@ def test_free_module_single_generator():
     assert elem.g.is_zero  # everything lands on the one generator
 
 
+@pytest.mark.parametrize("p", [5, 97])
+def test_generators_equal_unit_elements(p):
+    for l in range(1, 7):
+        for i in range(l):
+            pres = _module(p, l, i)
+            assert pres.generator(1) == pres.element(1, 0)
+            if pres.is_free:  # the free module has e1 only
+                with pytest.raises(ValueError):
+                    pres.generator(2)
+            else:
+                assert pres.generator(2) == pres.element(0, 1)
+            with pytest.raises(ValueError):
+                pres.generator(3)
+
+
 def test_scalar_action_and_arithmetic():
     r4 = ring(4)
     m13 = make_module(r4, 1, 3)
