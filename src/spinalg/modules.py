@@ -19,8 +19,10 @@ of its arguments on those keys, and its relations as combinations of
 keys; GeneratorMap.apply sums coefficient * image, and
 check_well_defined pushes every relation through the images and reports
 the first nonzero defect, without either knowing the source kind.  Both
-sum the e1 and e2 ring parts first and normalize once (_combine): exact,
-since element is linear, so normalizing the sum is the sum of normal forms.
+go through _combine, which builds the e1 and e2 ring parts each as one
+NodeRing.sum_of_products (a single term dict, no intermediate sums) and
+normalizes once: exact, since element is linear, so normalizing the sum
+is the sum of normal forms.
 """
 from __future__ import annotations
 
@@ -260,8 +262,11 @@ class SymPowerSource:
 
     The m arguments are multiplied in one at a time by
     c'_k = c_k*f + c_(k-1)*g, where c_k is the coefficient of
-    e1^(n-k) e2^k after n arguments: O(m^2) ring products.  Relations are
-    each module relation times every degree-(m-1) generator monomial.
+    e1^(n-k) e2^k after n arguments.  Only the nonzero c_k are kept, so
+    each argument costs one ring product per live coefficient and part:
+    m products when every argument lies on one generator, O(m^2) when
+    arguments lie on both.  Relations are each module relation times
+    every degree-(m-1) generator monomial.
     """
 
     module: ModulePresentation
@@ -281,18 +286,21 @@ class SymPowerSource:
         for m in elements:
             if m.presentation is not self.module and m.presentation != self.module:
                 raise ValueError("argument lives off the source module")
-        # a free module has g = 0, so only coeffs[0] ever appears; a zero
-        # part (an argument on one generator) adds no products
-        ring = self.module.ring
-        coeffs = [ring.one()]
+        # only nonzero coefficients are kept; a free module has g = 0, so
+        # only key 0 ever appears, and a zero part adds no products
+        coeffs = {0: self.module.ring.one()}
         for m in elements:
-            nxt = [ring.zero()] * len(coeffs) if m.f.is_zero else [c * m.f for c in coeffs]
-            if not m.g.is_zero:
-                nxt.append(ring.zero())
-                for k, c in enumerate(coeffs):
-                    nxt[k + 1] = nxt[k + 1] + c * m.g
+            f, g = m.f, m.g
+            nxt = {} if f.is_zero else {k: c * f for k, c in coeffs.items()}
+            if not g.is_zero:
+                for k, c in coeffs.items():
+                    c = c * g
+                    if k + 1 in nxt:
+                        c = nxt.pop(k + 1) + c
+                    if not c.is_zero:
+                        nxt[k + 1] = c
             coeffs = nxt
-        return enumerate(coeffs)
+        return coeffs.items()
 
     def relations(self):
         # generator key 1 or 2 of the relation adds 0 or 1 e2 factor to e1^(m-1-k2) e2^k2
@@ -337,15 +345,12 @@ def _combine(target: ModulePresentation, pairs) -> ModuleElement:
     """Sum of c * image over (c, image) pairs with one target.element call.
 
     element is linear, so element(sum of c*f, sum of c*g) is the sum of the
-    element(c*f, c*g) = c * image.  Zero parts and coefficients add no products.
+    element(c*f, c*g) = c * image.  Each sum is one ring.sum_of_products,
+    built in a single term dict; zero parts and coefficients add no terms.
     """
-    f = g = target.ring.zero()
-    for c, img in pairs:
-        if not (c.is_zero or img.f.is_zero):
-            f = f + c * img.f
-        if not (c.is_zero or img.g.is_zero):
-            g = g + c * img.g
-    return target.element(f, g)
+    ring, pairs = target.ring, tuple(pairs)
+    return target.element(ring.sum_of_products((c, img.f) for c, img in pairs),
+                          ring.sum_of_products((c, img.g) for c, img in pairs))
 
 
 class RelationViolation:

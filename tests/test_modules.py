@@ -20,7 +20,7 @@ from spinalg.modules import (
     monomial_basis,
 )
 from spinalg.products import power_map, product_map, sym_power_map
-from spinalg.ring import NodeRing
+from spinalg.ring import NodeRing, RingElement, TermElement
 
 
 def ring(l: int, p: int = 97) -> NodeRing:
@@ -401,3 +401,89 @@ def test_apply_and_each_relation_normalize_once(monkeypatch):
         calls.clear()
         assert check_well_defined(gmap) is None
         assert len(calls) == len(gmap.source.relations()) > 0
+
+
+# -- the sparse Sym^m recurrence ----------------------------------------
+
+
+def _reference_sym_coefficients(source: SymPowerSource, elements):
+    """The dense recurrence over all m + 1 coefficients, zero entries dropped."""
+    ring = source.module.ring
+    coeffs = [ring.one()]
+    for m in elements:
+        nxt = [c * m.f for c in coeffs] + [ring.zero()]
+        for k, c in enumerate(coeffs):
+            nxt[k + 1] = nxt[k + 1] + c * m.g
+        coeffs = nxt
+    return {k: c for k, c in enumerate(coeffs) if not c.is_zero}
+
+
+@st.composite
+def sym_sources_and_arguments(draw):
+    """Sym^m of a free or standard module (l <= 5, m <= 6, p in {3, 97}) and m arguments.
+
+    Each argument is zero, lies on e1 or on e2 only, or lies on both.
+    """
+    pres = _module(draw(st.sampled_from([3, 97])), draw(st.integers(1, 5)), draw(st.integers(0, 4)))
+    zero = pres.ring.zero()
+    args = []
+    for _ in range(draw(st.integers(1, 6))):
+        elem = _draw_element(draw, pres)
+        kind = draw(st.sampled_from(["zero", "e1", "e2", "both"]))
+        args.append(ModuleElement(pres, elem.f if kind in ("e1", "both") else zero,
+                                  elem.g if kind in ("e2", "both") else zero))
+    return SymPowerSource(pres, len(args)), args
+
+
+@given(sym_sources_and_arguments())
+@settings(max_examples=300, deadline=None)
+def test_sym_coefficients_match_dense_recurrence(case):
+    source, args = case
+    got = dict(source.coefficients(*args))
+    assert got == _reference_sym_coefficients(source, args)
+    assert not any(c.is_zero for c in got.values())
+    assert set(got) <= set(source.keys)
+
+
+def test_sym_coefficients_drop_cancelled_entries():
+    # (e1 + e2)(e1 - e2) = e1^2 - e2^2: the e1 e2 coefficient cancels
+    r3 = ring(3, p=3)
+    m12 = make_module(r3, 1, 2)
+    got = dict(SymPowerSource(m12, 2).coefficients(m12.element(1, 1), m12.element(1, -1)))
+    assert got == {0: r3.one(), 2: -r3.one()}
+
+
+def test_sym_apply_on_one_generator_is_linear_in_m(monkeypatch):
+    # the target M(3, 2) is standard: a free target adds its two parts in element
+    r5 = ring(5)
+    m14 = make_module(r5, 1, 4)
+    gmap = sym_power_map(m14, 8)
+    assert not gmap.target.is_free
+    args = [m14.element(0, r5.y(k % 3) + r5.t(k)) for k in range(8)]
+    assert all(a.f.is_zero and not a.g.is_zero for a in args)
+    expected = expanded_sym_apply(gmap, args)
+    products, additions = [], []
+
+    def counting(log, method):
+        def wrapper(self, other):
+            log.append(1)
+            return method(self, other)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(RingElement, name, counting(products, RingElement.__dict__[name]))
+    for name in ("__add__", "__radd__"):
+        monkeypatch.setattr(TermElement, name, counting(additions, TermElement.__dict__[name]))
+    got = gmap.apply(*args)
+    monkeypatch.undo()
+    assert len(products) <= 8
+    assert not additions
+    assert got == expected
+
+
+def test_sym_apply_rejects_a_target_over_another_ring():
+    source, target = make_module(ring(2), 1, 1), make_module(ring(3), 1, 2)
+    gmap = GeneratorMap(SymPowerSource(source, 2), target,
+                        {k: target.generator(1 + k % 2) for k in range(3)})
+    with pytest.raises(ValueError, match="elements live in different rings"):
+        gmap.apply(source.generator(1), source.generator(2))
