@@ -19,10 +19,8 @@ of its arguments on those keys, and its relations as combinations of
 keys; GeneratorMap.apply sums coefficient * image, and
 check_well_defined pushes every relation through the images and reports
 the first nonzero defect, without either knowing the source kind.  Both
-go through _combine, which builds the e1 and e2 ring parts each as one
-NodeRing.sum_of_products (a single term dict, no intermediate sums) and
-normalizes once: exact, since element is linear, so normalizing the sum
-is the sum of normal forms.
+sum the e1 and e2 ring parts first and normalize once (_combine): exact,
+since element is linear, so normalizing the sum is the sum of normal forms.
 """
 from __future__ import annotations
 
@@ -345,12 +343,15 @@ def _combine(target: ModulePresentation, pairs) -> ModuleElement:
     """Sum of c * image over (c, image) pairs with one target.element call.
 
     element is linear, so element(sum of c*f, sum of c*g) is the sum of the
-    element(c*f, c*g) = c * image.  Each sum is one ring.sum_of_products,
-    built in a single term dict; zero parts and coefficients add no terms.
+    element(c*f, c*g) = c * image.  Zero parts and coefficients add no products.
     """
-    ring, pairs = target.ring, tuple(pairs)
-    return target.element(ring.sum_of_products((c, img.f) for c, img in pairs),
-                          ring.sum_of_products((c, img.g) for c, img in pairs))
+    f = g = target.ring.zero()
+    for c, img in pairs:
+        if not (c.is_zero or img.f.is_zero):
+            f = f + c * img.f
+        if not (c.is_zero or img.g.is_zero):
+            g = g + c * img.g
+    return target.element(f, g)
 
 
 class RelationViolation:

@@ -14,8 +14,6 @@ TermRing and TermElement are the one implementation of term-dict
 arithmetic over F_p.  NodeRing (x*y -> t^l), LaurentRing (x or y inverted,
 no fold) and the covering chart of oracle.py (z*w -> t, its own fold)
 supply only their monomial fold, variable names and print order.
-TermRing.sum_of_products runs the product loop of * over many pairs into
-one term dict, so a sum of products allocates no intermediate elements.
 """
 from __future__ import annotations
 
@@ -60,27 +58,6 @@ class TermRing:
 
     def one(self):
         return self.const(1)
-
-    def sum_of_products(self, pairs):
-        """Normal form of the sum of a * b over (a, b) pairs, built in one term dict.
-
-        Like *, it accepts elements of an equal ring and rejects foreign ones.
-        """
-        p, mul_keys = self.field.p, self._mul_keys
-        terms = {}
-        get = terms.get
-        for a, b in pairs:
-            if (a.ring is not self and a.ring != self) or (b.ring is not self and b.ring != self):
-                raise ValueError("elements live in different rings")
-            for k1, c1 in a.terms.items():
-                for k2, c2 in b.terms.items():
-                    key = mul_keys(k1, k2)
-                    c = (get(key, 0) + c1 * c2) % p
-                    if c:
-                        terms[key] = c
-                    else:  # c1 * c2 is a unit mod p, so the key was already present
-                        del terms[key]
-        return self._element(self, terms)
 
 
 class TermElement:

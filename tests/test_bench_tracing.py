@@ -79,30 +79,3 @@ def test_tracer_sees_the_strata_path_through_the_cached_parser(tmp_path):
     assert "assignments: 3" in traced
     for name in ("cli.main", "dualgraph.enumerate", "twists.index_from_twist"):
         assert tracer.calls[name] > 0, name
-
-
-def test_tracer_still_sees_ring_products_of_sym_apply():
-    """Module sums multiply outside RingElement.__mul__; building Sym^m coefficients does not.
-
-    So one compatibility_check and one Sym^m apply each still count both
-    modules.apply and ring.mul, which keeps the tiers per-layer view alive.
-    """
-    run = _load_run()
-    api = run.load_api()
-    ring = api.ring.NodeRing(api.field.FieldConfig(97, 1), 5)
-    gmap = api.products.sym_power_map(api.modules.make_module(ring, 1, 4), 3)
-    args = [gmap.source.module.generator(1 + k % 2) for k in range(3)]
-
-    def traced(call):
-        tracer = run.Tracer()
-        run.install(tracer, api)
-        try:
-            result = call()
-        finally:
-            tracer.uninstall()
-        for name in ("modules.apply", "ring.mul"):
-            assert tracer.calls[name] > 0, name
-        return result
-
-    assert traced(lambda: api.products.compatibility_check(ring, 10, 10, 5, 1, 1, 4))
-    assert traced(lambda: gmap.apply(*args)) == gmap.apply(*args)

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,53 +141,3 @@ def test_operands_from_equal_rings_ints_and_foreign_rings():
                 op(x, other)
             with pytest.raises(ValueError, match="elements live in different rings"):
                 op(other, x)
-
-
-@st.composite
-def rings_and_pairs(draw):
-    """A NodeRing, LaurentRing or SpinChart at p in {3, 97} and up to five (a, b) pairs.
-
-    Exponents and coefficients are small so that products share keys and
-    cancel; each operand comes from the ring or an equal but distinct copy.
-    """
-    field = FieldConfig(draw(st.sampled_from([3, 97])), 1)
-    small = st.integers(0, 2)
-    kind = draw(st.sampled_from(["node", "laurent", "chart"]))
-    if kind == "node":
-        r, key = NodeRing(field, draw(st.integers(1, 4))), st.tuples(small, small, small)
-    elif kind == "laurent":
-        r, key = LaurentRing(field, draw(st.sampled_from("xy"))), st.tuples(st.integers(-2, 2), small)
-    else:
-        r = SpinChart(field, 3, draw(st.sampled_from([1, 2])))
-        key = st.tuples(small, small, small, st.integers(-2, 2))
-    twin = replace(r)
-    elem = st.builds(lambda owner, raw: owner.from_terms(raw),
-                     st.sampled_from([r, twin]), st.lists(st.tuples(key, coeffs), max_size=4))
-    return r, draw(st.lists(st.tuples(elem, elem), max_size=5))
-
-
-@given(rings_and_pairs())
-@settings(max_examples=300, deadline=None)
-def test_sum_of_products_matches_mul_and_add(case):
-    r, pairs = case
-    expected = r.zero()
-    for a, b in pairs:
-        expected = expected + a * b
-    got = r.sum_of_products(iter(pairs))
-    assert type(got) is type(expected) and got.ring is r
-    assert got == expected
-    assert 0 not in got.terms.values()
-
-
-def test_sum_of_products_of_nothing_and_foreign_operands():
-    field = FieldConfig(7, 1)
-    r = NodeRing(field, 2)
-    assert r.sum_of_products([]) == r.zero() and r.sum_of_products([]).is_zero
-    # x*y - t^2 cancels to zero in one dict
-    assert r.sum_of_products([(r.x(), r.y()), (r.t(), -r.t())]).is_zero
-    foreign = [NodeRing(field, 3).x(), LaurentRing(field, "x").monomial(1, 1),
-               SpinChart(field, 2, 1).monomial(z=1)]
-    for other in foreign:
-        for pair in ((r.x(), other), (other, r.x())):
-            with pytest.raises(ValueError, match="elements live in different rings"):
-                r.sum_of_products([pair])
