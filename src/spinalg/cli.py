@@ -231,8 +231,10 @@ def _cmd_local_model(args) -> Report:
         lines.append(f"window radius {args.window}:")
         lines += [f"  grade {grade}: {_grade_name(window.grades[grade])}"
                   for grade in range(-args.window, args.window + 1)]
-        checked = sum(1 for gm in window.products.values()
-                      if check_well_defined(gm) is None)
+        # equal grades share one cached product map: check each map once, count per entry
+        maps = window.products.values()
+        sound = {gm for gm in set(maps) if check_well_defined(gm) is None}
+        checked = sum(1 for gm in maps if gm in sound)
         lines.append(f"products: {len(window.products)} ({checked} well defined)")
     return 0, lines
 

@@ -70,7 +70,7 @@ class ModulePresentation:
             c1 = ring.const(c1)
         if isinstance(c2, int):
             c2 = ring.const(c2)
-        if any(c.ring is not ring and c.ring != ring for c in (c1, c2)):
+        if c1.ring is not ring or c2.ring is not ring:  # node rings are interned
             raise ValueError("coefficients live in a different ring")
         if self.is_free:
             return ModuleElement(self, c1 + c2, ring.zero())
@@ -309,7 +309,12 @@ class SymPowerSource:
 
 
 class GeneratorMap:
-    """Module map recorded by its values on source generators."""
+    """Module map recorded by its values on source generators.  Treat as immutable.
+
+    The constructors in products.py cache their maps, so one map object
+    (and its images dict) is shared by every caller; copy the images
+    (dict(gmap.images)) before altering them.
+    """
 
     __slots__ = ("source", "target", "images")
 

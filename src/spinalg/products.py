@@ -12,10 +12,16 @@ image is one invariant monomial z^a w^b; _chart_image is the single rule
 that reads such a monomial back onto the target module.  The oracle
 module recomputes the images by multiplying upstairs and lowering, and
 never calls that rule.
+
+product_map, sym_power_map and power_map are cached per process
+(functools.cache): equal arguments return the one map object built for
+them, so its images are shared and must be treated as immutable.  Node
+rings are interned, so a cached map lives over the caller's own ring.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
 
 from .modules import (
@@ -45,6 +51,7 @@ def _chart_image(target: ModulePresentation, a: int, b: int) -> ModuleElement:
     return ModuleElement(target, term, zero) if target.is_free else ModuleElement(target, zero, term)
 
 
+@cache
 def product_map(a: ModulePresentation, b: ModulePresentation) -> GeneratorMap:
     """Multiplication M(i, j) x M(i', j') -> M(i+i' mod l, j+j' mod l).
 
@@ -61,7 +68,7 @@ def product_map(a: ModulePresentation, b: ModulePresentation) -> GeneratorMap:
                     (e2,e1) -> t^i' * v2   (e2,e2) -> y*v2
     """
     ring = a.ring
-    if b.ring != ring:
+    if b.ring is not ring:
         raise ValueError("factors live over different node rings")
     l = ring.l
     target = make_module(ring, (a.i + b.i) % l, (a.j + b.j) % l)
@@ -71,6 +78,7 @@ def product_map(a: ModulePresentation, b: ModulePresentation) -> GeneratorMap:
     return GeneratorMap(TensorSource(a, b), target, images)
 
 
+@cache
 def sym_power_map(pres: ModulePresentation, m: int) -> GeneratorMap:
     """m-th symmetric power M(i, j)^(m) -> M(m*i mod l, m*j mod l).
 
@@ -97,6 +105,7 @@ def tier_module(ring: NodeRing, i_top: int, j_top: int, r: int, d: int) -> Modul
     return make_module(ring, i_top, j_top).grade(r // d)
 
 
+@cache
 def power_map(ring: NodeRing, r: int, d: int, e: int, i_top: int, j_top: int) -> GeneratorMap:
     """Comparison map from the (d/e)-th symmetric power of tier d to tier e.
 

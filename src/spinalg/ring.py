@@ -221,9 +221,19 @@ class RingElement(TermElement):
         return LaurentRing(self.ring.field, at).from_terms(raw)
 
 
-@dataclass(frozen=True)
+# The one NodeRing of each (field, l); see NodeRing.__new__.
+_NODE_RINGS: dict[tuple[FieldConfig, int], NodeRing] = {}
+
+
+@dataclass(frozen=True, init=False)
 class NodeRing(TermRing):
-    """K[t][x, y] / (x*y - t^l) with unique mixed-monomial-free normal forms."""
+    """K[t][x, y] / (x*y - t^l) with unique mixed-monomial-free normal forms.
+
+    Interned: constructing NodeRing(field, l) again with an equal field and
+    l returns the same object, so elements of separately constructed equal
+    rings take the same-ring fast paths (identity before __eq__), and maps
+    cached by value in products.py are built on the caller's ring.
+    """
 
     field: FieldConfig
     l: int
@@ -233,9 +243,20 @@ class NodeRing(TermRing):
     _names = ("x", "y", "t")
     _print_order = (2, 0, 1)  # t-degree, then x-degree, then y-degree
 
-    def __post_init__(self):
-        if not isinstance(self.l, int) or self.l < 1:
+    def __new__(cls, field: FieldConfig, l: int):
+        if not isinstance(l, int) or l < 1:
             raise ValueError("node parameter l must be a positive integer")
+        ring = _NODE_RINGS.get((field, l))
+        if ring is None:
+            ring = object.__new__(cls)
+            object.__setattr__(ring, "field", field)
+            object.__setattr__(ring, "l", l)
+            _NODE_RINGS[field, l] = ring
+        return ring
+
+    def __reduce__(self):
+        # copies and unpickled rings go through __new__, so they stay interned
+        return NodeRing, (self.field, self.l)
 
     def __repr__(self):
         return f"NodeRing(p={self.field.p}, l={self.l})"

@@ -12,6 +12,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
@@ -79,3 +80,41 @@ def test_tracer_sees_the_strata_path_through_the_cached_parser(tmp_path):
     assert "assignments: 3" in traced
     for name in ("cli.main", "dualgraph.enumerate", "twists.index_from_twist"):
         assert tracer.calls[name] > 0, name
+
+
+def _traced_tiers_pass(run, api, tmp_path):
+    """Counts of one untraced and then one traced --tiny tiers pass (seed 1)."""
+    wl = run.WORKLOADS["tiers"](1, True, tmp_path)
+    run.run_pass(api, wl)
+    tracer = run.Tracer()
+    run.install(tracer, api)
+    try:
+        _, outputs, _ = run.run_pass(api, wl, tracer)
+    finally:
+        tracer.uninstall()
+    assert run.count_failures(wl, outputs) == 0
+    return wl, tracer.calls
+
+
+def test_tracer_counts_cached_map_calls_and_the_same_ring_work(tmp_path, monkeypatch):
+    """The tracer wraps the cached constructors, so it counts calls, not builds."""
+    run = _load_run()
+    api = run.load_api()
+    products = api.products
+    cached = (products.power_map, products.product_map, products.sym_power_map)
+    for fn in cached:
+        fn.cache_clear()
+    wl, calls = _traced_tiers_pass(run, api, tmp_path)
+    chain_middles = sys.modules[type(wl).__module__]._chain_middles
+    # one direct map plus three per chain check, and d/e - 1 iterated product steps
+    power_calls = sum(1 + 3 * len(chain_middles(d, e)) for _, _, _, _, d, e in wl.items)
+    product_calls = sum(d // e - 1 for _, _, _, _, d, e in wl.items)
+    assert calls["products.power_map"] == power_calls
+    assert calls["products.product_map"] == product_calls
+    assert products.power_map.cache_info().currsize == len(wl.items) < power_calls
+
+    for fn in cached:
+        monkeypatch.setattr(products, fn.__name__, fn.__wrapped__)
+    _, uncached = _traced_tiers_pass(run, api, tmp_path)
+    for name in ("products.power_map", "products.product_map", "ring.mul", "modules.apply"):
+        assert calls[name] == uncached[name] > 0, name

@@ -460,6 +460,8 @@ GOLDEN_ARGV = {
     "verify_algebra_max_r_3": ["verify-algebra", "--max-r", "3"],
     "local_model_r12_l6_i5":
         ["local-model", "--r", "12", "--l", "6", "--i", "5", "--tiers", "--products"],
+    "local_model_r6_l6_i1_window12":
+        ["local-model", "--r", "6", "--l", "6", "--i", "1", "--window", "12"],
     "oracle_l3_b2": ["oracle", "--l", "3", "--b", "2", "--expr", "(z+w+S)**4 - 3*z*w + S**-2"],
     "strata_loop": ["strata", LOOP_DOC],
     "strata_multi_leg": ["strata", MULTI_LEG_DOC],

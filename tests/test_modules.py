@@ -486,3 +486,16 @@ def test_sym_apply_rejects_a_target_over_another_ring():
                         {k: target.generator(1 + k % 2) for k in range(3)})
     with pytest.raises(ValueError, match="elements live in different rings"):
         gmap.apply(source.generator(1), source.generator(2))
+
+
+def test_coefficients_and_factors_over_another_ring_are_refused():
+    # node rings are interned, so an equal ring built apart is the same ring
+    pres = make_module(ring(4), 1, 3)
+    assert pres.element(ring(4).x(), ring(4).y()) == pres.element(pres.ring.x(), pres.ring.y())
+    for other in (ring(2), ring(4, p=5)):
+        with pytest.raises(ValueError, match="coefficients live in a different ring"):
+            pres.element(other.x())
+        with pytest.raises(ValueError, match="coefficients live in a different ring"):
+            pres.element(0, other.y())
+    with pytest.raises(ValueError, match="factors live over different node rings"):
+        product_map(pres, make_module(ring(4, p=5), 1, 3))

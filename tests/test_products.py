@@ -245,3 +245,42 @@ def test_automorphism_pairs_are_roots():
     assert group.order == 9
     for h, s in group.pairs:
         assert pow(h, 3, 7) == 1 and pow(s, 3, 7) == 1
+
+
+def _tier_items(max_r: int):
+    """Every (r, l, i, j, d, e) with l | r, a top pair (i, j) over l and e | d | r."""
+    for r in range(1, max_r + 1):
+        divisors = [d for d in range(1, r + 1) if r % d == 0]
+        for l in divisors:
+            for i in range(l):
+                if i and gcd(i, l) != 1:
+                    continue
+                for d in divisors:
+                    for e in (e for e in divisors if d % e == 0):
+                        yield r, l, i, (l - i) % l, d, e
+
+
+def test_power_maps_are_cached_across_separately_built_rings():
+    # ring(l) builds a new FieldConfig on every call; equal values give one map
+    for r, l, i, j, d, e in _tier_items(6):
+        gm = power_map(ring(l), r, d, e, i, j)
+        assert power_map(ring(l), r, d, e, i, j) is gm
+        assert gm.target.ring is ring(l)
+        pres = tier_module(ring(l), i, j, r, d)
+        sym = sym_power_map(pres, d // e)
+        assert sym_power_map(tier_module(ring(l), i, j, r, d), d // e) is sym
+        fresh = sym_power_map.__wrapped__(pres, d // e)
+        assert fresh is not sym and fresh.images == sym.images == gm.images
+    assert power_map(ring(2, p=13), 4, 4, 2, 1, 1) is not power_map(ring(2), 4, 4, 2, 1, 1)
+
+
+def test_product_maps_are_cached_across_separately_built_rings():
+    for l in range(1, 7):
+        for i in range(l):
+            for i2 in range(l):
+                a = make_module(ring(l), i, (l - i) % l)
+                b = make_module(ring(l), i2, (l - i2) % l)
+                pm = product_map(a, b)
+                assert product_map(make_module(ring(l), a.i, a.j), make_module(ring(l), b.i, b.j)) is pm
+                fresh = product_map.__wrapped__(a, b)
+                assert fresh is not pm and fresh.images == pm.images

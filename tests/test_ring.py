@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinalg.field import FieldConfig
 from spinalg.oracle import SpinChart
+from spinalg import ring as ring_module
 from spinalg.ring import LaurentRing, NodeRing
 
 
@@ -122,14 +126,41 @@ def test_ring_validation():
         r2.monomial(x=-1)
 
 
+def test_node_rings_are_interned_by_field_and_l():
+    r = NodeRing(FieldConfig(7, 1), 2)
+    assert NodeRing(FieldConfig(7, 1), 2) is r
+    assert NodeRing(field=FieldConfig(7, 1), l=2) is r
+    assert copy.copy(r) is r and copy.deepcopy(r) is r and pickle.loads(pickle.dumps(r)) is r
+    others = [NodeRing(FieldConfig(7, 1), 3), NodeRing(FieldConfig(5, 1), 2),
+              NodeRing(FieldConfig(7, 2), 2)]
+    for other in others:
+        assert other is not r and other != r
+    assert len({id(o) for o in others}) == len(others)
+
+
+@pytest.mark.parametrize("l", [0, -1, 1.5, "2", None])
+def test_invalid_l_raises_and_is_not_interned(l):
+    before = dict(ring_module._NODE_RINGS)
+    with pytest.raises(ValueError, match="node parameter l must be a positive integer"):
+        NodeRing(FieldConfig(5, 1), l)
+    assert ring_module._NODE_RINGS == before
+
+
 def test_operands_from_equal_rings_ints_and_foreign_rings():
     # the same-ring fast path must not change which operands combine
     field = FieldConfig(7, 1)
     r, twin = NodeRing(field, 2), NodeRing(FieldConfig(7, 1), 2)
-    assert r is not twin and r == twin
+    assert r is twin
     x, y = r.x(), twin.y()
     assert x + y == r.x() + r.y() and y + x == r.x() + r.y()
     assert x * y == r.t(2) and y * x == r.t(2)
+    # Laurent rings are not interned: equal but distinct rings still combine through _coerce
+    lr, ltwin = LaurentRing(field, "x"), LaurentRing(FieldConfig(7, 1), "x")
+    assert lr is not ltwin and lr == ltwin
+    v, t = lr.monomial(1, 1), ltwin.monomial(1, 0, 1)
+    assert v + t == lr.monomial(1, 1) + lr.monomial(1, 0, 1) == t + v
+    assert v * t == lr.monomial(1, 1, 1) == t * v
+    assert v - t == -(t - v) and (v - t).ring is lr and (t - v).ring is ltwin
     assert 3 * x == r.monomial(3, x=1) == x * 3
     assert x + 3 == r.x() + r.const(3) == 3 + x
     assert 3 - x == r.const(3) - r.x() and (3 - x) + x == 3
