@@ -37,56 +37,89 @@ class DualGraph:
     legs: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        ids = [v for v, _g in self.vertices]
-        if len(set(ids)) != len(ids):
+        slot = {v: i for i, (v, _g) in enumerate(self.vertices)}
+        if len(slot) != len(self.vertices):
             raise ValueError("vertex ids must be unique")
-        if not ids:
+        if not slot:
             raise ValueError("a dual graph needs at least one vertex")
-        known = set(ids)
         for v, g in self.vertices:
             if g < 0:
                 raise ValueError(f"vertex {v!r} has negative genus")
+        valence, ends = [0] * len(slot), []
         for a, b in self.edges:
-            if a not in known or b not in known:
+            if a not in slot or b not in slot:
                 raise ValueError(f"edge ({a!r}, {b!r}) mentions an unknown vertex")
+            ends.append((slot[a], slot[b]))
+            valence[slot[a]] += 1
+            valence[slot[b]] += 1
         for v, _m in self.legs:
-            if v not in known:
+            if v not in slot:
                 raise ValueError(f"leg at unknown vertex {v!r}")
+            valence[slot[v]] += 1
         markings = sorted(m for _v, m in self.legs)
         if markings != list(range(1, len(markings) + 1)):
             raise ValueError("leg markings must be exactly 1..n")
-        if not self._connected():
+        free, tree = _spanning_forest(ends, len(slot))
+        if len(tree) != len(slot) - 1:
             raise ValueError("dual graph must be connected")
-
-    def _connected(self) -> bool:
-        ids = [v for v, _g in self.vertices]
-        seen = {ids[0]}
-        frontier = [ids[0]]
-        while frontier:
-            cur = frontier.pop()
-            for a, b in self.edges:
-                for nxt in ((b,) if a == cur else ()) + ((a,) if b == cur else ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-        return len(seen) == len(ids)
+        # the index, built in O(V + E + L) by the checks above; it is no
+        # field, so equality, hashing and repr see the three tuples alone
+        object.__setattr__(self, "_slot", slot)
+        object.__setattr__(self, "_valence", tuple(valence))
+        object.__setattr__(self, "_forest", (free, tree))
 
     @property
     def n_markings(self) -> int:
         return len(self.legs)
 
+    def _slot_of(self, vid: str) -> int:
+        try:
+            return self._slot[vid]
+        except (KeyError, TypeError):  # TypeError: an unhashable id is no vertex either
+            raise ValueError(f"unknown vertex {vid!r}") from None
+
     def genus_of(self, vid: str) -> int:
-        for v, g in self.vertices:
-            if v == vid:
-                return g
-        raise ValueError(f"unknown vertex {vid!r}")
+        return self.vertices[self._slot_of(vid)][1]
 
     def valence(self, vid: str) -> int:
         """Half edges at a vertex: legs plus edge ends, loops counting twice."""
-        val = sum(1 for v, _m in self.legs if v == vid)
-        for a, b in self.edges:
-            val += (a == vid) + (b == vid)
-        return val
+        return self._valence[self._slot_of(vid)]
+
+
+def _spanning_forest(ends: list[tuple[int, int]], n_vertices: int) -> tuple[list, list]:
+    """Reverse Kruskal on slot pairs: (free edges, tree steps below slot 0).
+
+    An edge is a tree edge when no later edge already joins its ends; the others are
+    free, as (edge, head, tail).  Tree steps (child, parent, edge, sign) come leaves
+    first, sign -1 when the child is the tail.
+    """
+    component = list(range(n_vertices))
+
+    def find(x: int) -> int:
+        while component[x] != x:
+            component[x] = component[component[x]]
+            x = component[x]
+        return x
+
+    free, adjacent = [], [[] for _ in range(n_vertices)]
+    for e in reversed(range(len(ends))):
+        a, b = ends[e]
+        ca, cb = find(a), find(b)
+        if ca == cb:
+            free.append((e, a, b))
+        else:
+            component[ca] = cb
+            adjacent[a].append((b, e, -1))
+            adjacent[b].append((a, e, 1))
+    tree, reached, stack = [], {0}, [0]
+    while stack:
+        parent = stack.pop()
+        for child, e, sign in adjacent[parent]:
+            if child not in reached:
+                reached.add(child)
+                tree.append((child, parent, e, sign))
+                stack.append(child)
+    return free[::-1], tree[::-1]
 
 
 def graph_genus(graph: DualGraph) -> int:
@@ -96,11 +129,11 @@ def graph_genus(graph: DualGraph) -> int:
 
 
 def stability_check(graph: DualGraph) -> bool:
-    """Every vertex has 2g_v - 2 + valence > 0 and the global (g, n) is stable."""
-    for v, g in graph.vertices:
-        if 2 * g - 2 + graph.valence(v) <= 0:
-            return False
-    return 2 * graph_genus(graph) - 2 + graph.n_markings > 0
+    """Every vertex has 2g_v - 2 + val_v > 0, which makes (g, n) stable too.
+
+    The valences add up to 2E + n, so these excesses add up to 2g - 2 + n.
+    """
+    return all(2 * g - 2 + graph.valence(v) > 0 for v, g in graph.vertices)
 
 
 def spin_chi(g: int, n: int, r: int, m: tuple[int, ...]) -> int | None:
@@ -161,14 +194,12 @@ def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[
     cycle space, r^(E - V + 1) of them (Janda-Pandharipande-Pixton-
     Zvonkine, arXiv:1602.04705).
 
-    The spanning tree comes from reverse Kruskal: an edge is a tree edge
-    when no later edge already joins its two ends.  A non-tree edge lies
-    on a cycle of itself and later edges (a loop is one), so given the
-    edges before it, it takes all r values; a tree edge is determined by
-    the edges before it.  Running through the free edges' values in
-    lexicographic edge order, and solving the tree edges from the leaves
-    up, therefore lists the assignments in lexicographic order with no
-    sort and no candidate test.
+    The free edges and tree steps are the graph's `_spanning_forest`.  A
+    free edge lies on a cycle of itself and later edges (a loop is one), so
+    given the edges before it, it takes all r values, and a tree edge is
+    determined by the edges before it.  So running through the free edges'
+    values in edge order and solving the tree edges from the leaves up lists
+    the assignments in lexicographic order, with no sort and no test.
     """
     if r < 1:
         raise ValueError("level r must be a positive integer")
@@ -176,52 +207,21 @@ def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[
         raise ValueError(f"type length {len(m)} does not match the {graph.n_markings} legs")
     if not stability_check(graph):
         raise ValueError("graph is not stable")
-    slot = {v: i for i, (v, _g) in enumerate(graph.vertices)}
     demand = [2 * g - 2 + graph.valence(v) for v, g in graph.vertices]
     for v, mk in graph.legs:
-        demand[slot[v]] -= m[mk - 1]
+        demand[graph._slot[v]] -= m[mk - 1]
     if sum(demand) % r:
         return []
-    ends = [(slot[a], slot[b]) for a, b in graph.edges]
-    component = list(range(len(demand)))
-
-    def find(x: int) -> int:
-        while component[x] != x:
-            component[x] = component[component[x]]
-            x = component[x]
-        return x
-
-    # adjacent[v]: (w, tree edge, sign) with head twist = sign * (need at w)
-    # when w hangs below v in the tree
-    free, adjacent = [], [[] for _ in demand]
-    for e in reversed(range(len(ends))):
-        a, b = ends[e]
-        ca, cb = find(a), find(b)
-        if ca == cb:
-            free.append(e)
-        else:
-            component[ca] = cb
-            adjacent[a].append((b, e, -1))
-            adjacent[b].append((a, e, 1))
-    free.reverse()
-    tree, reached, stack = [], {0}, [0]
-    while stack:
-        parent = stack.pop()
-        for child, e, sign in adjacent[parent]:
-            if child not in reached:
-                reached.add(child)
-                tree.append((child, parent, e, sign))
-                stack.append(child)
-    tree.reverse()  # every vertex after all the vertices below it
+    free, tree = graph._forest
     out = []
     for choice in iproduct(range(r), repeat=len(free)):
-        heads = [0] * len(ends)
+        heads = [0] * len(graph.edges)
         need = demand[:]
-        for e, k in zip(free, choice):
+        for (e, a, b), k in zip(free, choice):
             heads[e] = k
-            a, b = ends[e]
             need[a] -= k
             need[b] += k
+        # the head twist of a tree edge is sign * (what the subtree below still needs)
         for child, parent, e, sign in tree:
             heads[e] = sign * need[child] % r
             need[parent] += need[child]

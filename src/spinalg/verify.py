@@ -598,8 +598,12 @@ class Suite(NamedTuple):
     scale: Callable[[int], tuple]
 
     def run(self, max_r: int) -> SuiteResult:
-        """Count the cases at scale max_r and collect their failures."""
-        outcomes = list(self.generate(*self.scale(max_r)))
+        """Count the cases at scale max_r and collect their failures; a case that raises fails."""
+        outcomes = []
+        try:
+            outcomes.extend(self.generate(*self.scale(max_r)))
+        except Exception as exc:
+            outcomes.append(f"raised {type(exc).__name__}: {exc}")
         failures = [msg for msg in outcomes if msg is not None]
         return SuiteResult(self.name, not failures, len(outcomes), failures)
 

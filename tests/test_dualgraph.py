@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +51,22 @@ def test_genus_and_valence():
     h = two_vertex_graph()
     assert graph_genus(h) == 2
     assert h.valence("a") == 2
+
+
+def test_unknown_vertex_is_refused_by_every_lookup():
+    g = two_vertex_graph()
+    for lookup in (g.valence, g.genus_of):
+        with pytest.raises(ValueError, match="unknown vertex 'nope'"):
+            lookup("nope")
+        with pytest.raises(ValueError, match=r"unknown vertex \['a'\]"):
+            lookup(["a"])
+
+
+def test_the_index_is_not_a_field():
+    g, h = two_vertex_graph(), two_vertex_graph()
+    assert [f.name for f in dataclasses.fields(g)] == ["vertices", "edges", "legs"]
+    assert g == h and hash(g) == hash(h)
+    assert repr(g) == f"DualGraph(vertices={g.vertices!r}, edges={g.edges!r}, legs={g.legs!r})"
 
 
 def test_stability():
@@ -168,3 +186,99 @@ def test_enumeration_memory_does_not_grow_with_r():
     assert listed == [(r - 1,)]
     assert all(vertex_degree_test(g, v, r, (3, 1), listed[0]) for v, _g in g.vertices)
     assert peak < 2**20
+
+
+# -- the graph index against the definitions it replaced ----------------------
+
+
+def _reference_connected(vertices, edges) -> bool:
+    """Search from the first vertex, scanning every edge at each vertex."""
+    ids = [v for v, _g in vertices]
+    seen, frontier = {ids[0]}, [ids[0]]
+    while frontier:
+        cur = frontier.pop()
+        for a, b in edges:
+            for nxt in ((b,) if a == cur else ()) + ((a,) if b == cur else ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return len(seen) == len(ids)
+
+
+def _reference_valence(graph, vid) -> int:
+    val = sum(1 for v, _m in graph.legs if v == vid)
+    for a, b in graph.edges:
+        val += (a == vid) + (b == vid)
+    return val
+
+
+def _reference_genus_of(graph, vid) -> int:
+    return next(g for v, g in graph.vertices if v == vid)
+
+
+def _reference_stability(graph) -> bool:
+    """Every vertex clause and the global clause, both tested."""
+    for v, g in graph.vertices:
+        if 2 * g - 2 + _reference_valence(graph, v) <= 0:
+            return False
+    return 2 * graph_genus(graph) - 2 + graph.n_markings > 0
+
+
+@st.composite
+def _any_graphs(draw):
+    """(vertices, edges, legs) of up to 6 vertices and 8 edges, connected or not."""
+    vids = [f"v{k}" for k in range(draw(st.integers(1, 6)))]
+    vertices = tuple((v, draw(st.integers(0, 2))) for v in vids)
+    ends = st.tuples(st.sampled_from(vids), st.sampled_from(vids))
+    edges = tuple(draw(st.lists(ends, max_size=8)))
+    legs = tuple((draw(st.sampled_from(vids)), k + 1) for k in range(draw(st.integers(0, 3))))
+    return vertices, edges, legs
+
+
+@given(_any_graphs())
+@settings(max_examples=300, deadline=None)
+def test_index_matches_the_reference_definitions(parts):
+    vertices, edges, legs = parts
+    if not _reference_connected(vertices, edges):
+        with pytest.raises(ValueError, match="dual graph must be connected"):
+            DualGraph(vertices, edges, legs)
+        return
+    graph = DualGraph(vertices, edges, legs)
+    for v, _g in vertices:
+        assert graph.valence(v) == _reference_valence(graph, v)
+        assert graph.genus_of(v) == _reference_genus_of(graph, v)
+    assert stability_check(graph) == _reference_stability(graph)
+
+
+class _CountingEdges(tuple):
+    """An edge tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_a_long_path_is_read_a_bounded_number_of_times():
+    """Validation, stability and enumeration read the edges O(1) times, not O(V)."""
+    n = 2000
+    vids = [f"v{k}" for k in range(n)]
+    edges = _CountingEdges(zip(vids, vids[1:]))
+    g = DualGraph(tuple((v, 1) for v in vids), edges, (("v0", 1),))
+    assert stability_check(g)
+    # the demands are 1 at the far end and 2 elsewhere (m = 0): their sum 3999 is 0 mod 3
+    assert len(enumerate_assignments(g, 3, (0,))) == 1
+    assert edges.iterations <= 5
+
+
+def test_listing_certificate_catches_a_corrupted_valence():
+    """The certificate's vertex rule counts half edges itself, so a bad index shows."""
+    g = two_vertex_graph()
+    object.__setattr__(g, "_valence", (g.valence("a") + 1, g.valence("b")))
+    failures = []
+    for r in range(2, 5):
+        for m in iproduct(range(r), repeat=g.n_markings):
+            closed = 0 if (2 * graph_genus(g) - 2 + g.n_markings - sum(m)) % r else 1  # a tree
+            failures.append(verify._listing_failure(g, r, m, enumerate_assignments(g, r, m), closed))
+    assert any(msg and "passing every vertex test" in msg for msg in failures)
