@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 invalid input, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import sys
@@ -251,6 +250,8 @@ def parse_chart_expression(chart: SpinChart, text: str) -> UpstairsElement:
     Supports +, -, *, integer ** (negative powers only on S), and
     integer literals; everything else is rejected.
     """
+    import ast  # imported here so that no other command loads the parser module
+
     try:
         with _nesting_limit("expression"):
             tree = ast.parse(text, mode="eval")

@@ -19,12 +19,12 @@ instead of scanning the r^E balanced candidates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class DualGraph:
+
+class DualGraph(Record):
     """Connected stable-curve dual graph: vertices, edges, legs.
 
     vertices: (id, genus) pairs with unique ids.
@@ -32,31 +32,34 @@ class DualGraph:
     legs: (vertex id, marking) with markings exactly 1..n in some order.
     """
 
-    vertices: tuple[tuple[str, int], ...]
-    edges: tuple[tuple[str, str], ...]
-    legs: tuple[tuple[str, int], ...]
+    _fields = ("vertices", "edges", "legs")
+    __slots__ = (*_fields, "_slot", "_valence", "_forest")
 
-    def __post_init__(self):
-        slot = {v: i for i, (v, _g) in enumerate(self.vertices)}
-        if len(slot) != len(self.vertices):
+    def __init__(self, vertices: tuple[tuple[str, int], ...], edges: tuple[tuple[str, str], ...],
+                 legs: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "legs", legs)
+        slot = {v: i for i, (v, _g) in enumerate(vertices)}
+        if len(slot) != len(vertices):
             raise ValueError("vertex ids must be unique")
         if not slot:
             raise ValueError("a dual graph needs at least one vertex")
-        for v, g in self.vertices:
+        for v, g in vertices:
             if g < 0:
                 raise ValueError(f"vertex {v!r} has negative genus")
         valence, ends = [0] * len(slot), []
-        for a, b in self.edges:
+        for a, b in edges:
             if a not in slot or b not in slot:
                 raise ValueError(f"edge ({a!r}, {b!r}) mentions an unknown vertex")
             ends.append((slot[a], slot[b]))
             valence[slot[a]] += 1
             valence[slot[b]] += 1
-        for v, _m in self.legs:
+        for v, _m in legs:
             if v not in slot:
                 raise ValueError(f"leg at unknown vertex {v!r}")
             valence[slot[v]] += 1
-        markings = sorted(m for _v, m in self.legs)
+        markings = sorted(m for _v, m in legs)
         if markings != list(range(1, len(markings) + 1)):
             raise ValueError("leg markings must be exactly 1..n")
         free, tree = _spanning_forest(ends, len(slot))

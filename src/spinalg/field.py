@@ -7,7 +7,7 @@ roots of unity, represented exactly as integers mod p.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Smallest strong pseudoprime to all of _MR_BASES (Sorenson and Webster,
@@ -70,15 +70,28 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class FieldConfig:
+class FieldConfig(Record):
     """F_p together with the level r; requires p prime and p = 1 (mod r)."""
 
-    p: int
-    r: int
+    __slots__ = _fields = ("p", "r")
 
+    def __init__(self, p: int, r: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+        self.__post_init__()
+
+    # field by field, not Record's loop: node-ring lookups and map-cache keys hash the field
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.r) == (other.p, other.r)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.r))
+
+    # own method, called once per construction: perfbench/tracing.py wraps it
     def __post_init__(self):
-        if self.r < 1:
+        if isinstance(self.r, bool) or self.r < 1:
             raise ValueError("level r must be a positive integer")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")

@@ -24,27 +24,33 @@ since element is linear, so normalizing the sum is the sum of normal forms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _linalg
+from ._record import Record
 from .ring import LaurentElement, NodeRing, RingElement
 
 
-@dataclass(frozen=True)
-class ModulePresentation:
+class ModulePresentation(Record):
     """Presentation data for M(i, j) over a node ring with parameter l."""
 
-    ring: NodeRing
-    i: int
-    j: int
+    __slots__ = _fields = ("ring", "i", "j")
 
-    def __post_init__(self):
-        i, j, l = self.i, self.j, self.ring.l
-        if i == 0 and j == 0:
-            return
-        if not (i > 0 and j > 0 and i + j == l):
+    def __init__(self, ring: NodeRing, i: int, j: int):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        l = ring.l
+        if not ((i == 0 and j == 0) or (i > 0 and j > 0 and i + j == l)):
             raise ValueError(
                 f"module exponents must be (0, 0) or positive with i + j = l; got ({i}, {j}) over l={l}")
+
+    # field by field, not Record's loop: each module element comparison compares presentations
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ring, self.i, self.j) == (other.ring, other.i, other.j)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.i, self.j))
 
     @property
     def is_free(self) -> bool:
@@ -202,11 +208,13 @@ class ModuleElement:
 # relations() gives (description, ((coefficient, key), ...)) pairs.
 
 
-@dataclass(frozen=True)
-class LinearSource:
+class LinearSource(Record):
     """A module itself: keys 1, 2 (the free module has key 1 only)."""
 
-    module: ModulePresentation
+    __slots__ = _fields = ("module",)
+
+    def __init__(self, module: ModulePresentation):
+        object.__setattr__(self, "module", module)
 
     @property
     def keys(self) -> tuple[int, ...]:
@@ -222,12 +230,14 @@ class LinearSource:
         return tuple((f"relation {ridx}", rel) for ridx, rel in enumerate(self.module.relations()))
 
 
-@dataclass(frozen=True)
-class TensorSource:
+class TensorSource(Record):
     """left (x) right: keys are pairs (a, b) of factor keys, expanded bilinearly."""
 
-    left: ModulePresentation
-    right: ModulePresentation
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: ModulePresentation, right: ModulePresentation):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def keys(self) -> tuple[tuple[int, int], ...]:
@@ -254,8 +264,7 @@ class TensorSource:
         return left + right
 
 
-@dataclass(frozen=True)
-class SymPowerSource:
+class SymPowerSource(Record):
     """Sym^m: key k = 0..m counts the e2 factors in e1^(m-k) e2^k (free module: key 0).
 
     The m arguments are multiplied in one at a time by
@@ -267,11 +276,12 @@ class SymPowerSource:
     every degree-(m-1) generator monomial.
     """
 
-    module: ModulePresentation
-    power: int
+    __slots__ = _fields = ("module", "power")
 
-    def __post_init__(self):
-        if self.power < 1:
+    def __init__(self, module: ModulePresentation, power: int):
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "power", power)
+        if power < 1:
             raise ValueError("symmetric power must be at least 1")
 
     @property

@@ -21,9 +21,9 @@ and lower maps are defined here, and nothing is read from products.py.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import Record
 from .field import FieldConfig
 from .modules import ModuleElement, ModulePresentation
 from .ring import TermElement, TermRing
@@ -45,28 +45,28 @@ class UpstairsElement(TermElement):
         return UpstairsElement(self.ring, {k: c for k, c in self.terms.items() if character(k) == 0})
 
 
-@dataclass(frozen=True)
-class SpinChart(TermRing):
+class SpinChart(TermRing, Record):
     """Covering chart data: field, local index l, symbol character b.
 
     As a ring it is K[t][z, w, S, 1/S] / (z*w - t); the shared term
     arithmetic of ring.py runs on the fold defined here.
     """
 
-    field: FieldConfig
-    l: int
-    b: int
+    __slots__ = _fields = ("field", "l", "b")
 
     _element = UpstairsElement
     _unit = (0, 0, 0, 0)
     _names = ("z", "w", "t", "S")
     _print_order = (2, 0, 1, 3)  # t, z, w, then S
 
-    def __post_init__(self):
-        if self.l < 1:
+    def __init__(self, field: FieldConfig, l: int, b: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "b", b)
+        if l < 1:
             raise ValueError("local index l must be a positive integer")
-        if gcd(self.b, self.l) != 1:
-            raise ValueError(f"symbol character must be a unit mod l; got b={self.b}, l={self.l}")
+        if gcd(b, l) != 1:
+            raise ValueError(f"symbol character must be a unit mod l; got b={b}, l={l}")
 
     def character(self, mon: UpMonomial) -> int:
         ze, we, _te, se = mon

@@ -20,10 +20,10 @@ rings are interned, so a cached map lives over the caller's own ring.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product as iproduct
 
+from ._record import Record
 from .modules import (
     GeneratorMap,
     ModuleElement,
@@ -159,8 +159,7 @@ def dual_pairing(pres: ModulePresentation) -> GeneratorMap:
 # -- the graded algebra in a window -------------------------------------
 
 
-@dataclass(frozen=True)
-class AlgebraWindow:
+class AlgebraWindow(Record):
     """Tiers and pairwise products of a root system, graded over a window.
 
     Grade n holds the module with exponents (n*i mod l, n*j mod l); the
@@ -169,8 +168,11 @@ class AlgebraWindow:
     the sum inside [-radius, radius].
     """
 
-    grades: dict
-    products: dict
+    __slots__ = _fields = ("grades", "products")
+
+    def __init__(self, grades: dict, products: dict):
+        object.__setattr__(self, "grades", grades)
+        object.__setattr__(self, "products", products)
 
 
 def algebra_window(ring: NodeRing, i: int, j: int, r: int, radius: int) -> AlgebraWindow:
@@ -196,13 +198,15 @@ def algebra_window(ring: NodeRing, i: int, j: int, r: int, radius: int) -> Algeb
 # -- symmetries ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AutomorphismGroup:
+class AutomorphismGroup(Record):
     """Generator-scaling symmetries preserving the e-th power map."""
 
-    pairs: tuple[tuple[int, int], ...]
-    order: int
-    diagonal: bool
+    __slots__ = _fields = ("pairs", "order", "diagonal")
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...], order: int, diagonal: bool):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "diagonal", diagonal)
 
 
 def automorphisms(pres: ModulePresentation, e: int, t: int | None = None,

@@ -17,9 +17,9 @@ supply only their monomial fold, variable names and print order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
+from ._record import Record
 from .field import FieldConfig
 
 Monomial = tuple[int, int, int]
@@ -225,18 +225,18 @@ class RingElement(TermElement):
 _NODE_RINGS: dict[tuple[FieldConfig, int], NodeRing] = {}
 
 
-@dataclass(frozen=True, init=False)
-class NodeRing(TermRing):
+class NodeRing(TermRing, Record):
     """K[t][x, y] / (x*y - t^l) with unique mixed-monomial-free normal forms.
 
     Interned: constructing NodeRing(field, l) again with an equal field and
     l returns the same object, so elements of separately constructed equal
     rings take the same-ring fast paths (identity before __eq__), and maps
-    cached by value in products.py are built on the caller's ring.
+    cached by value in products.py are built on the caller's ring.  Copies
+    and unpickled rings are made by calling NodeRing again, so they are
+    interned too.
     """
 
-    field: FieldConfig
-    l: int
+    __slots__ = _fields = ("field", "l")
 
     _element = RingElement
     _unit = (0, 0, 0)
@@ -244,7 +244,7 @@ class NodeRing(TermRing):
     _print_order = (2, 0, 1)  # t-degree, then x-degree, then y-degree
 
     def __new__(cls, field: FieldConfig, l: int):
-        if not isinstance(l, int) or l < 1:
+        if isinstance(l, bool) or not isinstance(l, int) or l < 1:
             raise ValueError("node parameter l must be a positive integer")
         ring = _NODE_RINGS.get((field, l))
         if ring is None:
@@ -254,12 +254,18 @@ class NodeRing(TermRing):
             _NODE_RINGS[field, l] = ring
         return ring
 
-    def __reduce__(self):
-        # copies and unpickled rings go through __new__, so they stay interned
-        return NodeRing, (self.field, self.l)
-
     def __repr__(self):
         return f"NodeRing(p={self.field.p}, l={self.l})"
+
+    # field by field, not Record's loop: map-cache keys hash the ring; and
+    # perfbench/tracing.py wraps this class's own __eq__
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.l) == (other.field, other.l)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.l))
 
     # own class-body binding: perfbench/tracing.py wraps methods per class
     from_terms = TermRing.from_terms
@@ -312,12 +318,14 @@ class LaurentElement(TermElement):
         return coeff, vexp
 
 
-@dataclass(frozen=True)
-class LaurentRing(TermRing):
+class LaurentRing(TermRing, Record):
     """K[t][v, 1/v], the node ring with v = x or v = y made a unit."""
 
-    field: FieldConfig
-    var: str
+    __slots__ = _fields = ("field", "var")
+
+    def __init__(self, field: FieldConfig, var: str):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "var", var)
 
     _element = LaurentElement
     _unit = (0, 0)

@@ -7,23 +7,24 @@ each branch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class TwistData:
+
+class TwistData(Record):
     """Node twist k at level r with its derived local exponents."""
 
-    k: int
-    r: int
-    l: int
-    a: int
-    b: int
+    __slots__ = _fields = ("k", "r", "l", "a", "b")
 
-    def __post_init__(self):
-        if not (0 <= self.k < self.r):
-            raise ValueError(f"twist must satisfy 0 <= k < r; got k={self.k}, r={self.r}")
+    def __init__(self, k: int, r: int, l: int, a: int, b: int):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if not (0 <= k < r):
+            raise ValueError(f"twist must satisfy 0 <= k < r; got k={k}, r={r}")
 
     def __str__(self):
         return f"{self.k}({self.l},{self.a},{self.b})"

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field as dc_field
 from itertools import product as iproduct
 from math import gcd
 from typing import NamedTuple
 
+from ._record import Record
 from .dualgraph import (
     DualGraph,
     deformation_dimension,
@@ -48,12 +48,19 @@ from .ring import LaurentRing, NodeRing
 Cases = Iterator[str | None]
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    passed: bool
-    cases: int
-    failures: list[str] = dc_field(default_factory=list)
+class SuiteResult(Record):
+    """One suite's report line: name, verdict, case count and failure messages."""
+
+    __slots__ = _fields = ("name", "passed", "cases", "failures")
+    # mutable and so unhashable, unlike the other records
+    __hash__ = None
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, name: str, passed: bool, cases: int, failures: list[str] | None = None):
+        self.name = name
+        self.passed = passed
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -54,6 +54,12 @@ def test_field_config_validation():
         FieldConfig(5, 3)  # 5 != 1 mod 3
 
 
+@pytest.mark.parametrize("r", [0, -2, True, False])
+def test_level_must_be_a_positive_integer_not_a_bool(r):
+    with pytest.raises(ValueError, match="level r must be a positive integer"):
+        FieldConfig(5, r)
+
+
 def test_for_level_picks_default():
     f = FieldConfig.for_level(4)
     assert (f.p, f.r) == (5, 4)

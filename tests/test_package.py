@@ -33,6 +33,32 @@ def test_suites_load_only_for_verify_algebra():
     assert run.stdout.splitlines()[-1] == "result: PASS"
 
 
+def test_start_up_loads_no_introspection_modules():
+    """`import spinalg, spinalg.cli` adds none of dataclasses, inspect or ast to a bare interpreter."""
+    probe = _python("-c", "import sys; before = set(sys.modules); import spinalg, spinalg.cli; "
+                          "print(' '.join(sorted(set(sys.modules) - before)))")
+    assert probe.returncode == 0, probe.stderr
+    added = set(probe.stdout.split())
+    assert "spinalg.cli" in added
+    assert added & {"dataclasses", "inspect", "ast"} == set()
+
+
+def test_no_source_imports_dataclasses():
+    """The records are plain slotted classes (spinalg._record), not dataclasses."""
+    offenders = []
+    for path in sorted((SRC / "spinalg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_sources_parse_as_python_3_10():
     """pyproject.toml promises Python >= 3.10; every module parses with that grammar."""
     sources = sorted((SRC / "spinalg").glob("*.py"))

@@ -138,7 +138,7 @@ def test_node_rings_are_interned_by_field_and_l():
     assert len({id(o) for o in others}) == len(others)
 
 
-@pytest.mark.parametrize("l", [0, -1, 1.5, "2", None])
+@pytest.mark.parametrize("l", [0, -1, 1.5, "2", None, True])
 def test_invalid_l_raises_and_is_not_interned(l):
     before = dict(ring_module._NODE_RINGS)
     with pytest.raises(ValueError, match="node parameter l must be a positive integer"):
