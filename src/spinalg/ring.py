@@ -323,13 +323,13 @@ class LaurentRing(TermRing, Record):
 
     __slots__ = _fields = ("field", "var")
 
-    def __init__(self, field: FieldConfig, var: str):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "var", var)
-
     _element = LaurentElement
     _unit = (0, 0)
     _print_order = (1, 0)  # t-degree, then v-degree
+
+    def __init__(self, field: FieldConfig, var: str):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "var", var)
 
     @property
     def _names(self) -> tuple[str, str]:
