@@ -8,6 +8,10 @@ hash is that of the field tuple, and repr shows `Class(name=value, ...)`.
 Copying and pickling go through `__reduce__`, which calls the class again
 with the field values, so the constructor validates (and interns) copies
 too.  Assigning or deleting an attribute raises AttributeError.
+
+An Interned record is one object per field tuple, so equality and hashing
+are identity.  Its `__new__` validates the fields, refusing a bool or float
+for an int (True and 1.0 hash like 1), then returns `cls._intern(*fields)`.
 """
 from __future__ import annotations
 
@@ -41,3 +45,25 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Interned(Record):
+    """Base of the records kept as one object per field tuple, in a table per subclass."""
+
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init_subclass__(cls):
+        cls._table = {}
+
+    @classmethod
+    def _intern(cls, *values):
+        """The record stored for these field values, made and stored on first use."""
+        record = cls._table.get(values)
+        if record is None:
+            record = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                object.__setattr__(record, name, value)
+            record = cls._table.setdefault(values, record)  # a record another thread stored first wins
+        return record

@@ -7,7 +7,7 @@ roots of unity, represented exactly as integers mod p.
 """
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Interned
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Smallest strong pseudoprime to all of _MR_BASES (Sorenson and Webster,
@@ -70,33 +70,24 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-class FieldConfig(Record):
-    """F_p together with the level r; requires p prime and p = 1 (mod r)."""
+class FieldConfig(Interned):
+    """F_p together with the level r; requires p prime and p = 1 (mod r).  Interned."""
 
     __slots__ = _fields = ("p", "r")
 
-    def __init__(self, p: int, r: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-        self.__post_init__()
-
-    # field by field, not Record's loop: node-ring lookups and map-cache keys hash the field
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.r) == (other.p, other.r)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.r))
+    def __new__(cls, p: int, r: int):
+        cls.__post_init__(p, r)
+        return cls._intern(p, r)
 
     # own method, called once per construction: perfbench/tracing.py wraps it
-    def __post_init__(self):
-        if isinstance(self.r, bool) or self.r < 1:
+    @staticmethod
+    def __post_init__(p: int, r: int):
+        if type(r) is not int or r < 1:
             raise ValueError("level r must be a positive integer")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.p % self.r != 1 and self.r != 1:
-            raise ValueError(f"need p = 1 (mod r); got p={self.p}, r={self.r}")
+        if type(p) is not int or not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if p % r != 1 and r != 1:
+            raise ValueError(f"need p = 1 (mod r); got p={p}, r={r}")
 
     @classmethod
     def for_level(cls, r: int, p: int | None = None) -> FieldConfig:

@@ -25,32 +25,22 @@ since element is linear, so normalizing the sum is the sum of normal forms.
 from __future__ import annotations
 
 from . import _linalg
-from ._record import Record
+from ._record import Interned, Record
 from .ring import LaurentElement, NodeRing, RingElement
 
 
-class ModulePresentation(Record):
-    """Presentation data for M(i, j) over a node ring with parameter l."""
+class ModulePresentation(Interned):
+    """Presentation data for M(i, j) over a node ring with parameter l.  Interned."""
 
     __slots__ = _fields = ("ring", "i", "j")
 
-    def __init__(self, ring: NodeRing, i: int, j: int):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
+    def __new__(cls, ring: NodeRing, i: int, j: int):
         l = ring.l
-        if not ((i == 0 and j == 0) or (i > 0 and j > 0 and i + j == l)):
+        if type(i) is not int or type(j) is not int or not (
+                (i == 0 and j == 0) or (i > 0 and j > 0 and i + j == l)):
             raise ValueError(
                 f"module exponents must be (0, 0) or positive with i + j = l; got ({i}, {j}) over l={l}")
-
-    # field by field, not Record's loop: each module element comparison compares presentations
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ring, self.i, self.j) == (other.ring, other.i, other.j)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, self.i, self.j))
+        return cls._intern(ring, i, j)
 
     @property
     def is_free(self) -> bool:
@@ -140,7 +130,7 @@ class ModuleElement:
         return self.f.is_zero and self.g.is_zero
 
     def _check(self, other: ModuleElement):
-        if self.presentation is not other.presentation and self.presentation != other.presentation:
+        if self.presentation is not other.presentation:
             raise ValueError("elements live in different modules")
 
     def __add__(self, other: ModuleElement):
@@ -165,7 +155,7 @@ class ModuleElement:
     def __eq__(self, other):
         return (
             isinstance(other, ModuleElement)
-            and self.presentation == other.presentation
+            and self.presentation is other.presentation
             and self.f == other.f
             and self.g == other.g
         )
@@ -222,7 +212,7 @@ class LinearSource(Record):
 
     def coefficients(self, *elements: ModuleElement):
         (m,) = elements
-        if m.presentation is not self.module and m.presentation != self.module:
+        if m.presentation is not self.module:
             raise ValueError("argument lives off the source module")
         return tuple(zip(self.module.generator_keys, (m.f, m.g)))
 
@@ -245,8 +235,7 @@ class TensorSource(Record):
 
     def coefficients(self, *elements: ModuleElement):
         a, b = elements
-        # tuple comparison tries identity before __eq__ on each entry
-        if (a.presentation, b.presentation) != (self.left, self.right):
+        if a.presentation is not self.left or b.presentation is not self.right:
             raise ValueError("arguments live off the source modules")
         # only nonzero factors are multiplied
         for ka, ca in zip(self.left.generator_keys, (a.f, a.g)):
@@ -281,7 +270,7 @@ class SymPowerSource(Record):
     def __init__(self, module: ModulePresentation, power: int):
         object.__setattr__(self, "module", module)
         object.__setattr__(self, "power", power)
-        if power < 1:
+        if type(power) is not int or power < 1:
             raise ValueError("symmetric power must be at least 1")
 
     @property
@@ -292,7 +281,7 @@ class SymPowerSource(Record):
         if len(elements) != self.power:
             raise ValueError(f"expected {self.power} arguments")
         for m in elements:
-            if m.presentation is not self.module and m.presentation != self.module:
+            if m.presentation is not self.module:
                 raise ValueError("argument lives off the source module")
         # only nonzero coefficients are kept; a free module has g = 0, so
         # only key 0 ever appears, and a zero part adds no products
@@ -333,7 +322,7 @@ class GeneratorMap:
         if set(images) != set(keys):
             raise ValueError(f"images must cover exactly the keys {keys}")
         for key, img in images.items():
-            if img.presentation is not target and img.presentation != target:
+            if img.presentation is not target:
                 raise ValueError(f"image for {key} lives off the target module")
         self.source = source
         self.target = target

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from ._record import Record
+from ._record import Interned
 from .field import FieldConfig
 from .modules import ModuleElement, ModulePresentation
 from .ring import TermElement, TermRing
@@ -45,11 +45,11 @@ class UpstairsElement(TermElement):
         return UpstairsElement(self.ring, {k: c for k, c in self.terms.items() if character(k) == 0})
 
 
-class SpinChart(TermRing, Record):
+class SpinChart(TermRing, Interned):
     """Covering chart data: field, local index l, symbol character b.
 
     As a ring it is K[t][z, w, S, 1/S] / (z*w - t); the shared term
-    arithmetic of ring.py runs on the fold defined here.
+    arithmetic of ring.py runs on the fold defined here.  Interned.
     """
 
     __slots__ = _fields = ("field", "l", "b")
@@ -59,14 +59,12 @@ class SpinChart(TermRing, Record):
     _names = ("z", "w", "t", "S")
     _print_order = (2, 0, 1, 3)  # t, z, w, then S
 
-    def __init__(self, field: FieldConfig, l: int, b: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "b", b)
-        if l < 1:
+    def __new__(cls, field: FieldConfig, l: int, b: int):
+        if type(l) is not int or l < 1:
             raise ValueError("local index l must be a positive integer")
-        if gcd(b, l) != 1:
+        if type(b) is not int or gcd(b, l) != 1:
             raise ValueError(f"symbol character must be a unit mod l; got b={b}, l={l}")
+        return cls._intern(field, l, b)
 
     def character(self, mon: UpMonomial) -> int:
         ze, we, _te, se = mon
@@ -93,7 +91,7 @@ class SpinChart(TermRing, Record):
 
 
 def _check_chart(chart: SpinChart, pres: ModulePresentation) -> None:
-    if pres.ring.l != chart.l or pres.ring.field != chart.field:
+    if pres.ring.l != chart.l or pres.ring.field is not chart.field:
         raise ValueError("module and chart disagree on l or the field")
 
 

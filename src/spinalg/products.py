@@ -15,8 +15,8 @@ never calls that rule.
 
 product_map, sym_power_map and power_map are cached per process
 (functools.cache): equal arguments return the one map object built for
-them, so its images are shared and must be treated as immutable.  Node
-rings are interned, so a cached map lives over the caller's own ring.
+them, so its images are shared and must be treated as immutable.  Rings
+and modules are interned, so a cached map lives over the caller's own.
 """
 from __future__ import annotations
 

@@ -13,13 +13,15 @@ generic or pinned to a field constant by specialize, t = 0 being the node.
 TermRing and TermElement are the one implementation of term-dict
 arithmetic over F_p.  NodeRing (x*y -> t^l), LaurentRing (x or y inverted,
 no fold) and the covering chart of oracle.py (z*w -> t, its own fold)
-supply only their monomial fold, variable names and print order.
+supply only their monomial fold, variable names and print order.  The
+rings are interned (_record.Interned), so elements share a ring exactly
+when their `ring` is the same object.
 """
 from __future__ import annotations
 
 from operator import itemgetter
 
-from ._record import Record
+from ._record import Interned
 from .field import FieldConfig
 
 Monomial = tuple[int, int, int]
@@ -82,7 +84,7 @@ class TermElement:
         if isinstance(other, int):
             return self.ring.const(other)
         if isinstance(other, TermElement):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise ValueError("elements live in different rings")
             return other
         return None
@@ -160,7 +162,7 @@ class TermElement:
             other = self.ring.const(other)
         return (
             isinstance(other, TermElement)
-            and (self.ring is other.ring or self.ring == other.ring)
+            and self.ring is other.ring
             and self.terms == other.terms
         )
 
@@ -211,8 +213,6 @@ class RingElement(TermElement):
 
         Inverting x sends y to t^l / x; inverting y sends x to t^l / y.
         """
-        if at not in ("x", "y"):
-            raise ValueError("localization variable must be 'x' or 'y'")
         l = self.ring.l
         if at == "x":
             raw = [((xe - ye, te + l * ye), c) for (xe, ye, te), c in self.terms.items()]
@@ -221,19 +221,10 @@ class RingElement(TermElement):
         return LaurentRing(self.ring.field, at).from_terms(raw)
 
 
-# The one NodeRing of each (field, l); see NodeRing.__new__.
-_NODE_RINGS: dict[tuple[FieldConfig, int], NodeRing] = {}
-
-
-class NodeRing(TermRing, Record):
+class NodeRing(TermRing, Interned):
     """K[t][x, y] / (x*y - t^l) with unique mixed-monomial-free normal forms.
 
-    Interned: constructing NodeRing(field, l) again with an equal field and
-    l returns the same object, so elements of separately constructed equal
-    rings take the same-ring fast paths (identity before __eq__), and maps
-    cached by value in products.py are built on the caller's ring.  Copies
-    and unpickled rings are made by calling NodeRing again, so they are
-    interned too.
+    Interned: NodeRing(field, l) is one object per (field, l).
     """
 
     __slots__ = _fields = ("field", "l")
@@ -244,30 +235,16 @@ class NodeRing(TermRing, Record):
     _print_order = (2, 0, 1)  # t-degree, then x-degree, then y-degree
 
     def __new__(cls, field: FieldConfig, l: int):
-        if isinstance(l, bool) or not isinstance(l, int) or l < 1:
+        if type(l) is not int or l < 1:
             raise ValueError("node parameter l must be a positive integer")
-        ring = _NODE_RINGS.get((field, l))
-        if ring is None:
-            ring = object.__new__(cls)
-            object.__setattr__(ring, "field", field)
-            object.__setattr__(ring, "l", l)
-            _NODE_RINGS[field, l] = ring
-        return ring
+        return cls._intern(field, l)
 
     def __repr__(self):
         return f"NodeRing(p={self.field.p}, l={self.l})"
 
-    # field by field, not Record's loop: map-cache keys hash the ring; and
-    # perfbench/tracing.py wraps this class's own __eq__
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.l) == (other.field, other.l)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.l))
-
-    # own class-body binding: perfbench/tracing.py wraps methods per class
+    # own class-body bindings: perfbench/tracing.py wraps methods per class;
+    # binding __eq__ alone would set __hash__ to None
+    __eq__, __hash__ = Interned.__eq__, Interned.__hash__
     from_terms = TermRing.from_terms
 
     def _fold(self, key) -> Monomial:
@@ -318,8 +295,8 @@ class LaurentElement(TermElement):
         return coeff, vexp
 
 
-class LaurentRing(TermRing, Record):
-    """K[t][v, 1/v], the node ring with v = x or v = y made a unit."""
+class LaurentRing(TermRing, Interned):
+    """K[t][v, 1/v], the node ring with v = x or v = y made a unit.  Interned."""
 
     __slots__ = _fields = ("field", "var")
 
@@ -327,9 +304,10 @@ class LaurentRing(TermRing, Record):
     _unit = (0, 0)
     _print_order = (1, 0)  # t-degree, then v-degree
 
-    def __init__(self, field: FieldConfig, var: str):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "var", var)
+    def __new__(cls, field: FieldConfig, var: str):
+        if var not in ("x", "y"):
+            raise ValueError("localization variable must be 'x' or 'y'")
+        return cls._intern(field, var)
 
     @property
     def _names(self) -> tuple[str, str]:

@@ -59,6 +59,24 @@ def test_no_source_imports_dataclasses():
     assert offenders == []
 
 
+def test_interned_records_are_compared_by_identity():
+    """No `==` or `!=` has a `.ring`, `.field` or `.presentation` operand (or tuple entry):
+    those records are interned (spinalg._record.Interned), so identity is their equality."""
+    offenders = []
+    for path in sorted((SRC / "spinalg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            sides = [side for op, left, right in zip(node.ops, operands, operands[1:])
+                     if isinstance(op, (ast.Eq, ast.NotEq)) for side in (left, right)]
+            entries = [e for side in sides for e in (side.elts if isinstance(side, ast.Tuple) else [side])]
+            if any(isinstance(e, ast.Attribute) and e.attr in ("ring", "field", "presentation")
+                   for e in entries):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_sources_parse_as_python_3_10():
     """pyproject.toml promises Python >= 3.10; every module parses with that grammar."""
     sources = sorted((SRC / "spinalg").glob("*.py"))

@@ -62,6 +62,7 @@ RECORDS = {
 }
 UNHASHABLE = (AlgebraWindow, verify.SuiteResult)  # a dict field; a mutable record
 MUTABLE = (verify.SuiteResult,)
+INTERNED = (FieldConfig, NodeRing, LaurentRing, ModulePresentation, SpinChart)
 
 
 def _copies(record):
@@ -78,7 +79,8 @@ def test_record_contract(cls):
     assert type(a) is cls and not hasattr(a, "__dict__")
     assert repr(a) == text
 
-    # value equality, over the fields in _fields, by keyword too
+    # value equality, over the fields in _fields, by keyword too; an
+    # interned record is the one object for its fields, hashed by identity
     values = tuple(getattr(a, name) for name in cls._fields)
     assert a == b and not a != b
     assert cls(**dict(zip(cls._fields, values))) == a
@@ -86,6 +88,8 @@ def test_record_contract(cls):
     if cls in UNHASHABLE:
         with pytest.raises(TypeError, match="unhashable"):
             hash(a)
+    elif cls in INTERNED:
+        assert a is b and hash(a) == hash(b)
     else:
         assert hash(a) == hash(b) == hash(values)
 
@@ -100,10 +104,10 @@ def test_record_contract(cls):
             delattr(a, name)
         assert getattr(a, name) is values[-1]
 
-    # copies are equal records of the same class; node rings stay interned
+    # copies are equal records of the same class; interned records copy to themselves
     for twin in _copies(a):
         assert type(twin) is cls and twin == a and repr(twin) == text
-        assert (twin is a) == (cls is NodeRing)
+        assert (twin is a) == (cls in INTERNED)
 
     if bad is not None:
         with pytest.raises(ValueError) as exc:
@@ -124,3 +128,59 @@ def test_unequal_records():
     # equal fields in different classes are not equal records
     assert LinearSource(_module()) != SymPowerSource(_module(), 1)
     assert SymPowerSource(_module(), 2) != SymPowerSource(_module(), 3)
+
+
+_F73, _F97 = FieldConfig(7, 3), FieldConfig(97, 1)
+_L_MESSAGE = "node parameter l must be a positive integer"
+_LOCAL_MESSAGE = "local index l must be a positive integer"
+_VAR_MESSAGE = "localization variable must be 'x' or 'y'"
+
+
+def _exponents(i, j):
+    return f"module exponents must be (0, 0) or positive with i + j = l; got ({i}, {j}) over l=3"
+
+
+# class: (arguments of a record, [(refused arguments, message)]); each refused
+# list has a bool, a float equal to an int and an out-of-range value
+INTERNED_INPUTS = {
+    FieldConfig: ((7, 3), [((7, True), "level r must be a positive integer"),
+                           ((7, 1.0), "level r must be a positive integer"),
+                           ((7, 0), "level r must be a positive integer"),
+                           ((True, 1), "True is not prime"),
+                           ((7.0, 3), "7.0 is not prime"),
+                           ((11, 3), "need p = 1 (mod r); got p=11, r=3")]),
+    NodeRing: ((_F73, 3), [((_F73, True), _L_MESSAGE), ((_F73, 3.0), _L_MESSAGE),
+                           ((_F73, 0), _L_MESSAGE)]),
+    LaurentRing: ((_F73, "x"), [((_F73, True), _VAR_MESSAGE), ((_F73, 1.0), _VAR_MESSAGE),
+                                ((_F73, "q"), _VAR_MESSAGE)]),
+    ModulePresentation: ((NodeRing(_F73, 3), 1, 2),
+                         [((NodeRing(_F73, 3), True, 2), _exponents(True, 2)),
+                          ((NodeRing(_F73, 3), 1.0, 2.0), _exponents(1.0, 2.0)),
+                          ((NodeRing(_F73, 3), 1, 1), _exponents(1, 1))]),
+    SpinChart: ((_F97, 3, 2), [((_F97, True, 1), _LOCAL_MESSAGE),
+                               ((_F97, 3.0, 2), _LOCAL_MESSAGE),
+                               ((_F97, 0, 1), _LOCAL_MESSAGE),
+                               ((_F97, 3, True), "symbol character must be a unit mod l; got b=True, l=3"),
+                               ((_F97, 3, 2.0), "symbol character must be a unit mod l; got b=2.0, l=3"),
+                               ((_F97, 4, 2), "symbol character must be a unit mod l; got b=2, l=4")]),
+}
+
+
+@pytest.mark.parametrize("cls", INTERNED, ids=lambda cls: cls.__name__)
+def test_interned_records_are_one_object_and_refuse_before_interning(cls):
+    args, refused = INTERNED_INPUTS[cls]
+    a = cls(*args)
+    assert cls(*args) is a and cls(**dict(zip(cls._fields, args))) is a
+    assert all(twin is a for twin in _copies(a))
+    for bad, message in refused:
+        table = dict(cls._table)
+        with pytest.raises(ValueError) as exc:
+            cls(*bad)
+        assert str(exc.value) == message
+        assert cls._table == table
+
+
+@pytest.mark.parametrize("power", [True, 2.0, 0])
+def test_symmetric_power_must_be_a_positive_int(power):
+    with pytest.raises(ValueError, match="^symmetric power must be at least 1$"):
+        SymPowerSource(_module(), power)

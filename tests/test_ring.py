@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from spinalg.field import FieldConfig
 from spinalg.oracle import SpinChart
-from spinalg import ring as ring_module
 from spinalg.ring import LaurentRing, NodeRing
 
 
@@ -56,6 +55,8 @@ def test_localize_frozen_example():
     loc = (r2.y() ** 2).localize("x")
     ((vexp, texp),) = loc.terms
     assert (vexp, texp) == (-2, 4)
+    with pytest.raises(ValueError, match="^localization variable must be 'x' or 'y'$"):
+        r2.y().localize("q")
 
 
 def test_localize_unit_detection():
@@ -140,10 +141,10 @@ def test_node_rings_are_interned_by_field_and_l():
 
 @pytest.mark.parametrize("l", [0, -1, 1.5, "2", None, True])
 def test_invalid_l_raises_and_is_not_interned(l):
-    before = dict(ring_module._NODE_RINGS)
+    before = dict(NodeRing._table)
     with pytest.raises(ValueError, match="node parameter l must be a positive integer"):
         NodeRing(FieldConfig(5, 1), l)
-    assert ring_module._NODE_RINGS == before
+    assert NodeRing._table == before
 
 
 def test_operands_from_equal_rings_ints_and_foreign_rings():
@@ -154,9 +155,9 @@ def test_operands_from_equal_rings_ints_and_foreign_rings():
     x, y = r.x(), twin.y()
     assert x + y == r.x() + r.y() and y + x == r.x() + r.y()
     assert x * y == r.t(2) and y * x == r.t(2)
-    # Laurent rings are not interned: equal but distinct rings still combine through _coerce
+    # Laurent rings are interned too: an equal ring built apart is the same ring
     lr, ltwin = LaurentRing(field, "x"), LaurentRing(FieldConfig(7, 1), "x")
-    assert lr is not ltwin and lr == ltwin
+    assert lr is ltwin
     v, t = lr.monomial(1, 1), ltwin.monomial(1, 0, 1)
     assert v + t == lr.monomial(1, 1) + lr.monomial(1, 0, 1) == t + v
     assert v * t == lr.monomial(1, 1, 1) == t * v
