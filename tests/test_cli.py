@@ -338,6 +338,107 @@ def test_graph_document_rejects_bad_prime():
         parse_graph_document(dict(LOOP_DOC, field_prime=4))
 
 
+_V0 = {"id": "v0", "genus": 0}
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# One case per raise site of parse_graph_document, then documents with two faults,
+# where the first check in document order names the error; each message is pinned whole.
+@pytest.mark.parametrize("doc, message", [
+    pytest.param([LOOP_DOC], "graph document must be a JSON object", id="document-not-object"),
+    pytest.param(_without(LOOP_DOC, "r"), "graph document is missing 'r'",
+                 id="document-missing-r"),
+    pytest.param(_without(LOOP_DOC, "legs"), "graph document is missing 'legs'",
+                 id="document-missing-legs"),
+    pytest.param(dict(LOOP_DOC, r="2"), "r must be an integer, got '2'", id="r-string"),
+    pytest.param(dict(LOOP_DOC, r=True), "r must be an integer, got True", id="r-bool"),
+    pytest.param(dict(LOOP_DOC, r=0), "r must be a positive integer", id="r-zero"),
+    pytest.param(dict(LOOP_DOC, m=1), "m must be a list, got 1", id="m-not-list"),
+    pytest.param(dict(LOOP_DOC, m=[1.5]), "m[0] must be an integer, got 1.5",
+                 id="m-entry-float"),
+    pytest.param(dict(LOOP_DOC, vertices={}), "vertices must be a list, got {}",
+                 id="vertices-not-list"),
+    pytest.param(dict(LOOP_DOC, vertices=[_V0, ["v1", 0]]), "vertices[1] must be a JSON object",
+                 id="vertex-not-object"),
+    pytest.param(dict(LOOP_DOC, vertices=[{"genus": 0}]), "vertices[0] is missing 'id'",
+                 id="vertex-missing-id"),
+    pytest.param(dict(LOOP_DOC, vertices=[_V0, {"id": "v1"}]), "vertices[1] is missing 'genus'",
+                 id="vertex-missing-genus"),
+    pytest.param(dict(LOOP_DOC, vertices=[{"id": 0, "genus": 0}]),
+                 "vertices[0].id must be a vertex id string, got 0", id="vertex-id-int"),
+    pytest.param(dict(LOOP_DOC, vertices=[{"id": "v0", "genus": 1.0}]),
+                 "vertices[0].genus must be an integer, got 1.0", id="vertex-genus-float"),
+    pytest.param(dict(LOOP_DOC, edges="v0"), "edges must be a list, got 'v0'",
+                 id="edges-not-list"),
+    pytest.param(dict(LOOP_DOC, edges=[["v0", "v0"], "v0v0"]),
+                 "edges[1] must be a list, got 'v0v0'", id="edge-not-list"),
+    pytest.param(dict(LOOP_DOC, edges=[["v0"]]),
+                 "edges[0] must be a pair of vertex ids, got ['v0']", id="edge-not-pair"),
+    pytest.param(dict(LOOP_DOC, edges=[["v0", 0]]), "edges[0] must be a vertex id string, got 0",
+                 id="edge-id-int"),
+    pytest.param(dict(LOOP_DOC, legs=None), "legs must be a list, got None", id="legs-not-list"),
+    pytest.param(dict(LOOP_DOC, legs=[["v0", 1]]), "legs[0] must be a JSON object",
+                 id="leg-not-object"),
+    pytest.param(dict(LOOP_DOC, legs=[{"vertex": "v0"}]), "legs[0] is missing 'marking'",
+                 id="leg-missing-marking"),
+    pytest.param(dict(LOOP_DOC, legs=[{"vertex": ["v0"], "marking": 1}]),
+                 "legs[0].vertex must be a vertex id string, got ['v0']", id="leg-vertex-list"),
+    pytest.param(dict(LOOP_DOC, legs=[{"vertex": "v0", "marking": True}]),
+                 "legs[0].marking must be an integer, got True", id="leg-marking-bool"),
+    pytest.param(dict(LOOP_DOC, vertices=[_V0, _V0]), "vertex ids must be unique",
+                 id="graph-duplicate-id"),
+    pytest.param(dict(LOOP_DOC, vertices=[], edges=[], legs=[], m=[]),
+                 "a dual graph needs at least one vertex", id="graph-no-vertex"),
+    pytest.param(dict(LOOP_DOC, vertices=[{"id": "v0", "genus": -1}]),
+                 "vertex 'v0' has negative genus", id="graph-negative-genus"),
+    pytest.param(dict(LOOP_DOC, edges=[["v0", "w"]]), "edge ('v0', 'w') mentions an unknown vertex",
+                 id="graph-unknown-edge-end"),
+    pytest.param(dict(LOOP_DOC, legs=[{"vertex": "w", "marking": 1}]),
+                 "leg at unknown vertex 'w'", id="graph-unknown-leg-vertex"),
+    pytest.param(dict(LOOP_DOC, legs=[{"vertex": "v0", "marking": 2}]),
+                 "leg markings must be exactly 1..n", id="graph-markings"),
+    pytest.param(dict(LOOP_DOC, vertices=[_V0, {"id": "v1", "genus": 2}]),
+                 "dual graph must be connected", id="graph-disconnected"),
+    pytest.param(dict(LOOP_DOC, m=[1, 2]), "type has 2 entries for 1 legs", id="type-length"),
+    pytest.param(dict(LOOP_DOC, field_prime="5"), "field_prime must be an integer, got '5'",
+                 id="prime-string"),
+    pytest.param(dict(LOOP_DOC, field_prime=True), "field_prime must be an integer, got True",
+                 id="prime-bool"),
+    pytest.param(dict(LOOP_DOC, field_prime=4), "4 is not prime", id="prime-composite"),
+    pytest.param(dict(LOOP_DOC, r=3, field_prime=5), "need p = 1 (mod r); got p=5, r=3",
+                 id="prime-not-1-mod-r"),
+    pytest.param(dict(LOOP_DOC, field_prime=3317044064679887385961981),
+                 "cannot certify primality of 3317044064679887385961981: "
+                 "moduli must be below 3317044064679887385961981", id="prime-uncertified"),
+    pytest.param(dict(LOOP_DOC, r=0, m="x"), "r must be a positive integer",
+                 id="first-fault-r-before-m"),
+    pytest.param(dict(LOOP_DOC, m=[True], vertices=None), "m[0] must be an integer, got True",
+                 id="first-fault-m-before-vertices"),
+    pytest.param(dict(LOOP_DOC, vertices=[{"id": 1, "genus": "g"}]),
+                 "vertices[0].id must be a vertex id string, got 1",
+                 id="first-fault-id-before-genus"),
+    pytest.param(dict(LOOP_DOC, vertices=[_V0, {"id": "v1"}], edges=3),
+                 "vertices[1] is missing 'genus'", id="first-fault-vertices-before-edges"),
+    pytest.param(dict(LOOP_DOC, edges=[["v0", "v0", "v0"]], legs=3),
+                 "edges[0] must be a pair of vertex ids, got ['v0', 'v0', 'v0']",
+                 id="first-fault-edges-before-legs"),
+    pytest.param(dict(LOOP_DOC, vertices=[_V0, _V0], legs=[{"vertex": "v0", "marking": 0.5}]),
+                 "legs[0].marking must be an integer, got 0.5",
+                 id="first-fault-fields-before-graph"),
+    pytest.param(dict(LOOP_DOC, m=[1, 2], edges=[["v0", "w"]]),
+                 "edge ('v0', 'w') mentions an unknown vertex", id="first-fault-graph-before-type"),
+    pytest.param(dict(LOOP_DOC, m=[], field_prime=4), "type has 0 entries for 1 legs",
+                 id="first-fault-type-before-prime"),
+])
+def test_graph_document_error_messages(doc, message):
+    with pytest.raises(ValueError) as exc:
+        parse_graph_document(doc)
+    assert str(exc.value) == message
+
+
 def test_local_model_report(capsys):
     code, out, _ = run(capsys, "local-model", "--r", "4", "--l", "4", "--i", "1", "--tiers")
     assert code == 0
@@ -454,6 +555,17 @@ MULTI_LEG_DOC = {
              {"vertex": "b", "marking": 3}],
 }
 
+# A triangle a-b-c with a second a-b edge and a loop at c: 3^(5 - 3 + 1) = 27 listed
+# assignments.  The free edges are e0, e1 and the loop e4, and the cycles of e0 and e1
+# share the tree edge e3, so the listing runs through overlapping cycles and carries.
+TWO_CYCLES_DOC = {
+    "r": 3,
+    "m": [2],
+    "vertices": [{"id": "a", "genus": 0}, {"id": "b", "genus": 0}, {"id": "c", "genus": 0}],
+    "edges": [["a", "b"], ["b", "c"], ["c", "a"], ["a", "b"], ["c", "c"]],
+    "legs": [{"vertex": "a", "marking": 1}],
+}
+
 # The files in tests/golden pin report bytes; rewrite one only when its report is meant
 # to change.  A dict in an argv stands for the path of that graph document on disk.
 GOLDEN_ARGV = {
@@ -465,6 +577,7 @@ GOLDEN_ARGV = {
     "oracle_l3_b2": ["oracle", "--l", "3", "--b", "2", "--expr", "(z+w+S)**4 - 3*z*w + S**-2"],
     "strata_loop": ["strata", LOOP_DOC],
     "strata_multi_leg": ["strata", MULTI_LEG_DOC],
+    "strata_two_cycles": ["strata", TWO_CYCLES_DOC],
 }
 
 
