@@ -83,56 +83,61 @@ def _cmd_chi(args) -> Report:
 # -- strata ---------------------------------------------------------------
 
 
-def _integer(value, name: str) -> int:
+# Each check below names the failing field by a label such as "vertices[3].genus":
+# name.format(*at), built only when the check fails.
+
+
+def _integer(value, name: str, *at: int) -> int:
     """value itself if it is an integer; JSON true and false are not."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name.format(*at)} must be an integer, got {value!r}")
     return value
 
 
-def _vertex_id(value, name: str) -> str:
+def _vertex_id(value, name: str, *at: int) -> str:
     if not isinstance(value, str):
-        raise ValueError(f"{name} must be a vertex id string, got {value!r}")
+        raise ValueError(f"{name.format(*at)} must be a vertex id string, got {value!r}")
     return value
 
 
-def _array(value, name: str) -> list:
+def _array(value, name: str, *at: int) -> list:
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {value!r}")
+        raise ValueError(f"{name.format(*at)} must be a list, got {value!r}")
     return value
 
 
-def _fields(entry, name: str, keys: tuple[str, ...]) -> tuple:
+def _fields(entry, keys: tuple[str, ...], name: str, *at: int) -> tuple:
     if not isinstance(entry, dict):
-        raise ValueError(f"{name} must be a JSON object")
+        raise ValueError(f"{name.format(*at)} must be a JSON object")
     for k in keys:
         if k not in entry:
-            raise ValueError(f"{name} is missing {k!r}")
+            raise ValueError(f"{name.format(*at)} is missing {k!r}")
     return tuple(entry[k] for k in keys)
 
 
 def parse_graph_document(doc: dict) -> tuple[DualGraph, int, tuple[int, ...], int | None]:
     """Validate a graph JSON document; returns (graph, r, m, field_prime)."""
     r, m, vertex_entries, edge_entries, leg_entries = _fields(
-        doc, "graph document", ("r", "m", "vertices", "edges", "legs"))
+        doc, ("r", "m", "vertices", "edges", "legs"), "graph document")
     if _integer(r, "r") < 1:
         raise ValueError("r must be a positive integer")
-    m = tuple(_integer(k, f"m[{n}]") for n, k in enumerate(_array(m, "m")))
+    m = tuple(_integer(k, "m[{}]", n) for n, k in enumerate(_array(m, "m")))
     vertices = []
     for n, entry in enumerate(_array(vertex_entries, "vertices")):
-        vid, genus = _fields(entry, f"vertices[{n}]", ("id", "genus"))
-        vertices.append((_vertex_id(vid, f"vertices[{n}].id"),
-                         _integer(genus, f"vertices[{n}].genus")))
+        vid, genus = _fields(entry, ("id", "genus"), "vertices[{}]", n)
+        vertices.append((_vertex_id(vid, "vertices[{}].id", n),
+                         _integer(genus, "vertices[{}].genus", n)))
     edges = []
     for n, edge in enumerate(_array(edge_entries, "edges")):
-        if len(_array(edge, f"edges[{n}]")) != 2:
+        if len(_array(edge, "edges[{}]", n)) != 2:
             raise ValueError(f"edges[{n}] must be a pair of vertex ids, got {edge!r}")
-        edges.append(tuple(_vertex_id(v, f"edges[{n}]") for v in edge))
+        a, b = edge
+        edges.append((_vertex_id(a, "edges[{}]", n), _vertex_id(b, "edges[{}]", n)))
     legs = []
     for n, entry in enumerate(_array(leg_entries, "legs")):
-        vid, marking = _fields(entry, f"legs[{n}]", ("vertex", "marking"))
-        legs.append((_vertex_id(vid, f"legs[{n}].vertex"),
-                     _integer(marking, f"legs[{n}].marking")))
+        vid, marking = _fields(entry, ("vertex", "marking"), "legs[{}]", n)
+        legs.append((_vertex_id(vid, "legs[{}].vertex", n),
+                     _integer(marking, "legs[{}].marking", n)))
     graph = DualGraph(tuple(vertices), tuple(edges), tuple(legs))
     if len(m) != graph.n_markings:
         raise ValueError(f"type has {len(m)} entries for {graph.n_markings} legs")
@@ -169,8 +174,9 @@ def _cmd_strata(args) -> Report:
 
     # the legs are pinned by the type: every assignment has the same leg twists
     legs = " ".join(label(mi % r) for mi in m) if assignments else ""
+    edge_ids = range(len(graph.edges))
     for idx, heads in enumerate(assignments, start=1):
-        edges = " ".join([cell(e, k) for e, k in enumerate(heads)])
+        edges = " ".join(map(cell, edge_ids, heads))  # the cache is called from C
         lines.append(f"  {idx}. legs [{legs}] edges [{edges}]")
     return 0, lines
 

@@ -19,8 +19,6 @@ instead of scanning the r^E balanced candidates.
 """
 from __future__ import annotations
 
-from itertools import product as iproduct
-
 from ._record import Record
 
 
@@ -46,6 +44,8 @@ class DualGraph(Record):
         if not slot:
             raise ValueError("a dual graph needs at least one vertex")
         for v, g in vertices:
+            if type(g) is not int:  # bool and float are refused too
+                raise ValueError(f"vertex {v!r} has genus {g!r}, not an integer")
             if g < 0:
                 raise ValueError(f"vertex {v!r} has negative genus")
         valence, ends = [0] * len(slot), []
@@ -55,9 +55,11 @@ class DualGraph(Record):
             ends.append((slot[a], slot[b]))
             valence[slot[a]] += 1
             valence[slot[b]] += 1
-        for v, _m in legs:
+        for v, mk in legs:
             if v not in slot:
                 raise ValueError(f"leg at unknown vertex {v!r}")
+            if type(mk) is not int:
+                raise ValueError(f"leg marking {mk!r} is not an integer")
             valence[slot[v]] += 1
         markings = sorted(m for _v, m in legs)
         if markings != list(range(1, len(markings) + 1)):
@@ -201,10 +203,21 @@ def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[
     free edge lies on a cycle of itself and later edges (a loop is one), so
     given the edges before it, it takes all r values, and a tree edge is
     determined by the edges before it.  So running through the free edges'
-    values in edge order and solving the tree edges from the leaves up lists
-    the assignments in lexicographic order, with no sort and no test.
+    values in edge order, as the digits of an odometer whose last digit
+    turns fastest, and solving the tree edges from the leaves up lists the
+    assignments in lexicographic order, with no sort and no test.
+
+    The solve is linear mod r, so it runs once for the row with every free
+    edge at 0 and once per free edge f for delta_f, the change that one
+    more unit on f makes: 1 on f, 1 or -1 along the tree path between its
+    ends (its fundamental cycle), 0 elsewhere.  A step of the odometer raises
+    one digit i and wraps each later digit from r - 1 to 0.  A wrap needs
+    no undo: it is one more unit on that edge, and r * delta = 0 mod r.  So
+    every step adds the suffix sum delta_i + .. + delta_last, which is 0
+    off the cycles of those edges, and the last digit, which moves on all
+    but one step in r, costs one pass over its own cycle.
     """
-    if r < 1:
+    if type(r) is not int or r < 1:  # bool and float are refused too
         raise ValueError("level r must be a positive integer")
     if len(m) != graph.n_markings:
         raise ValueError(f"type length {len(m)} does not match the {graph.n_markings} legs")
@@ -216,17 +229,36 @@ def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[
     if sum(demand) % r:
         return []
     free, tree = graph._forest
-    out = []
-    for choice in iproduct(range(r), repeat=len(free)):
-        heads = [0] * len(graph.edges)
-        need = demand[:]
-        for (e, a, b), k in zip(free, choice):
-            heads[e] = k
-            need[a] -= k
-            need[b] += k
+
+    def solve(need: list[int], heads: list[int]) -> list[int]:
         # the head twist of a tree edge is sign * (what the subtree below still needs)
         for child, parent, e, sign in tree:
             heads[e] = sign * need[child] % r
             need[parent] += need[child]
-        out.append(tuple(heads))
-    return out
+        return heads
+
+    heads = solve(demand, [0] * len(graph.edges))
+    rows = [tuple(heads)]
+    if r == 1:  # one row: skip the deltas, which are all 0 mod 1
+        return rows
+    suffix, moves = [0] * len(heads), []
+    for e, a, b in reversed(free):
+        need = [0] * len(demand)
+        need[a] -= 1
+        need[b] += 1
+        delta = solve(need, [0] * len(heads))
+        delta[e] = 1
+        suffix = [(s + d) % r for s, d in zip(suffix, delta)]
+        moves.append([(i, s) for i, s in enumerate(suffix) if s])
+    moves.reverse()
+    digits, last = [0] * len(free), len(free) - 1
+    for _ in range(r ** len(free) - 1):
+        i = last
+        while digits[i] == r - 1:
+            digits[i] = 0
+            i -= 1
+        digits[i] += 1
+        for e, s in moves[i]:
+            heads[e] = (heads[e] + s) % r
+        rows.append(tuple(heads))
+    return rows

@@ -4,7 +4,7 @@ import tracemalloc
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spinalg import verify
 from spinalg.dualgraph import (
@@ -41,6 +41,25 @@ def test_graph_validation():
         DualGraph((("v", 1),), (), (("v", 2),))  # markings must be 1..n
     with pytest.raises(ValueError):
         DualGraph((("v", 1), ("w", 1)), (), ())  # disconnected
+
+
+@pytest.mark.parametrize("vertices, legs", [
+    ((("v", 1.5),), ()),
+    ((("v", 1.0),), ()),
+    ((("v", True),), ()),
+    ((("v", "1"),), ()),
+    ((("v", 1),), (("v", True),)),
+    ((("v", 1),), (("v", 1.0),)),
+], ids=["genus-1.5", "genus-1.0", "genus-true", "genus-string", "marking-true", "marking-1.0"])
+def test_graph_refuses_a_genus_or_marking_that_is_not_an_int(vertices, legs):
+    with pytest.raises(ValueError, match="not an integer"):
+        DualGraph(vertices, (("v", "v"),), legs)
+
+
+@pytest.mark.parametrize("r", [True, 2.0, "2", 0, -1])
+def test_enumeration_refuses_a_level_that_is_not_a_positive_int(r):
+    with pytest.raises(ValueError, match="level r must be a positive integer"):
+        enumerate_assignments(loop_graph(), r, (1,))
 
 
 def test_genus_and_valence():
@@ -169,6 +188,23 @@ def test_enumeration_matches_brute_force_in_order(graph, r, data):
     listed = enumerate_assignments(graph, r, m)
     assert listed == verify._brute_force_assignments(graph, r, m)
     for heads in listed:
+        assert all(vertex_degree_test(graph, v, r, m, heads) for v, _g in graph.vertices)
+
+
+@given(_stable_graphs(), st.integers(5, 9), st.data())
+@settings(max_examples=100, deadline=None)
+def test_enumeration_is_a_certified_coset_beyond_brute_force(graph, r, data):
+    """At r = 5..9, past the r^E scan: r^(E - V + 1) rows or none, increasing, admissible."""
+    coset = r ** (len(graph.edges) - len(graph.vertices) + 1)
+    assume(coset <= 1024)
+    m = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=graph.n_markings,
+                                 max_size=graph.n_markings)))
+    listed = enumerate_assignments(graph, r, m)
+    integral = (2 * graph_genus(graph) - 2 + graph.n_markings - sum(m)) % r == 0
+    assert len(listed) == (coset if integral else 0)
+    assert all(a < b for a, b in zip(listed, listed[1:]))
+    for heads in listed:
+        assert len(heads) == len(graph.edges) and all(0 <= k < r for k in heads)
         assert all(vertex_degree_test(graph, v, r, m, heads) for v, _g in graph.vertices)
 
 
