@@ -214,8 +214,8 @@ def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[
     one digit i and wraps each later digit from r - 1 to 0.  A wrap needs
     no undo: it is one more unit on that edge, and r * delta = 0 mod r.  So
     every step adds the suffix sum delta_i + .. + delta_last, which is 0
-    off the cycles of those edges, and the last digit, which moves on all
-    but one step in r, costs one pass over its own cycle.
+    off the cycles of those edges.  All but one step in r raise the last
+    digit alone, at the cost of one pass over its own cycle.
     """
     if type(r) is not int or r < 1:  # bool and float are refused too
         raise ValueError("level r must be a positive integer")
