@@ -70,13 +70,6 @@ class SuiteResult(Record):
         return out
 
 
-def _modules_over(ring: NodeRing) -> list[ModulePresentation]:
-    """The free module and every standard exponent pair over the ring."""
-    out = [make_module(ring, 0, 0)]
-    out.extend(make_module(ring, i, ring.l - i) for i in range(1, ring.l))
-    return out
-
-
 def _top_pairs(l: int) -> list[tuple[int, int]]:
     """Exponent pairs that occur as the top tier of a root system."""
     pairs = [(0, 0)]
@@ -86,6 +79,23 @@ def _top_pairs(l: int) -> list[tuple[int, int]]:
 
 def _ring(l: int) -> NodeRing:
     return NodeRing(FieldConfig(97, 1), l)
+
+
+def _levels(max_l: int):
+    """(l, ring, modules) for l <= max_l: the free module and every standard pair M(i, l - i)."""
+    for l in range(1, max_l + 1):
+        ring = _ring(l)
+        yield l, ring, [make_module(ring, 0, 0)] + [make_module(ring, i, l - i) for i in range(1, l)]
+
+
+def _pairs(mods: list[ModulePresentation]):
+    """(a, b, product map a x b) for every ordered pair of the modules."""
+    return ((a, b, product_map(a, b)) for a in mods for b in mods)
+
+
+def _sym_powers(mods: list[ModulePresentation]):
+    """(module, m, Sym^m map) for every module and m = 1..4."""
+    return ((pres, m, sym_power_map(pres, m)) for pres in mods for m in range(1, 5))
 
 
 def _divisors(n: int):
@@ -153,28 +163,24 @@ def _ring_law_failure(ring: NodeRing, t0: int, a, b, c) -> str | None:
 
 def suite_well_definedness(max_l: int) -> Cases:
     """Product and power maps respect the presentations; broken images do not."""
-    for l in range(1, max_l + 1):
-        mods = _modules_over(_ring(l))
-        for a in mods:
-            for b in mods:
-                pm = product_map(a, b)
-                bad = check_well_defined(pm)
-                if bad is not None:
-                    yield f"l={l}: product {a!r} x {b!r}: {bad!r}"
-                    continue
-                yield None
-                yield from _perturbations(pm, f"l={l} {a!r}x{b!r}")
-                # the transcription with the two middle t-exponents swapped
-                if not a.is_free and not b.is_free and a.i != b.i and a.i + b.i != l:
-                    swapped = dict(pm.images)
-                    swapped[(1, 2)], swapped[(2, 1)] = pm.images[(2, 1)], pm.images[(1, 2)]
-                    gm = GeneratorMap(TensorSource(a, b), pm.target, swapped)
-                    yield (None if check_well_defined(gm) is not None else
-                           f"l={l}: swapped images pass for {a!r} x {b!r}")
-        for pres in mods:
-            for m in range(1, 5):
-                bad = check_well_defined(sym_power_map(pres, m))
-                yield None if bad is None else f"l={l}: Sym^{m} {pres!r}: {bad!r}"
+    for l, _, mods in _levels(max_l):
+        for a, b, pm in _pairs(mods):
+            bad = check_well_defined(pm)
+            if bad is not None:
+                yield f"l={l}: product {a!r} x {b!r}: {bad!r}"
+                continue
+            yield None
+            yield from _perturbations(pm, f"l={l} {a!r}x{b!r}")
+            # the transcription with the two middle t-exponents swapped
+            if not a.is_free and not b.is_free and a.i != b.i and a.i + b.i != l:
+                swapped = dict(pm.images)
+                swapped[(1, 2)], swapped[(2, 1)] = pm.images[(2, 1)], pm.images[(1, 2)]
+                gm = GeneratorMap(TensorSource(a, b), pm.target, swapped)
+                yield (None if check_well_defined(gm) is not None else
+                       f"l={l}: swapped images pass for {a!r} x {b!r}")
+        for pres, m, gm in _sym_powers(mods):
+            bad = check_well_defined(gm)
+            yield None if bad is None else f"l={l}: Sym^{m} {pres!r}: {bad!r}"
 
 
 def _perturbations(gmap: GeneratorMap, label: str) -> Cases:
@@ -203,39 +209,34 @@ def _perturbations(gmap: GeneratorMap, label: str) -> Cases:
 
 
 def suite_commutativity(max_l: int) -> Cases:
-    for l in range(1, max_l + 1):
-        mods = _modules_over(_ring(l))
-        for a in mods:
-            for b in mods:
-                ab, ba = product_map(a, b), product_map(b, a)
-                for ka in a.generator_keys:
-                    for kb in b.generator_keys:
-                        yield (None if ab.images[(ka, kb)] == ba.images[(kb, ka)] else
-                               f"l={l}: {a!r} x {b!r} keys ({ka},{kb}) disagree with the flip")
+    for l, _, mods in _levels(max_l):
+        for a, b, ab in _pairs(mods):
+            ba = product_map(b, a)
+            for ka in a.generator_keys:
+                for kb in b.generator_keys:
+                    yield (None if ab.images[(ka, kb)] == ba.images[(kb, ka)] else
+                           f"l={l}: {a!r} x {b!r} keys ({ka},{kb}) disagree with the flip")
 
 
 def suite_associativity(max_l: int) -> Cases:
-    for l in range(1, max_l + 1):
-        mods = _modules_over(_ring(l))
-        for a in mods:
-            for b in mods:
-                ab = product_map(a, b)
-                for c in mods:
-                    ab_c = product_map(ab.target, c)
-                    bc = product_map(b, c)
-                    a_bc = product_map(a, bc.target)
-                    for ka in a.generator_keys:
-                        ga = a.generator(ka)
-                        for kb in b.generator_keys:
-                            gb = b.generator(kb)
-                            left_part = ab.apply(ga, gb)
-                            for kc in c.generator_keys:
-                                gc = c.generator(kc)
-                                left = ab_c.apply(left_part, gc)
-                                right = a_bc.apply(ga, bc.apply(gb, gc))
-                                yield (None if left == right else
-                                       f"l={l}: associativity fails on {a!r},{b!r},{c!r} "
-                                       f"keys ({ka},{kb},{kc})")
+    for l, _, mods in _levels(max_l):
+        for a, b, ab in _pairs(mods):
+            for c in mods:
+                ab_c = product_map(ab.target, c)
+                bc = product_map(b, c)
+                a_bc = product_map(a, bc.target)
+                for ka in a.generator_keys:
+                    ga = a.generator(ka)
+                    for kb in b.generator_keys:
+                        gb = b.generator(kb)
+                        left_part = ab.apply(ga, gb)
+                        for kc in c.generator_keys:
+                            gc = c.generator(kc)
+                            left = ab_c.apply(left_part, gc)
+                            right = a_bc.apply(ga, bc.apply(gb, gc))
+                            yield (None if left == right else
+                                   f"l={l}: associativity fails on {a!r},{b!r},{c!r} "
+                                   f"keys ({ka},{kb},{kc})")
 
 
 # -- power coherence ------------------------------------------------------
@@ -249,19 +250,16 @@ def _divisor_chains(r: int):
 def suite_power_coherence(max_r: int) -> Cases:
     """Direct tier powers equal iterated binary products and compose correctly."""
     for r, l, ring, i_top, j_top in _tiers(max_r):
-        top = make_module(ring, i_top, j_top)
-        grades = {n: top.grade(n) for n in range(0, r + 1)}
         for d, e in _divisor_chains(r):
             direct = power_map(ring, r, d, e, i_top, j_top)
-            n = r // d
             m = d // e
-            source = grades[n]
+            source = direct.source.module
             for key in direct.images:
                 factors = ([source.generator(1)] * m if source.is_free else
                            [source.generator(1)] * (m - key) + [source.generator(2)] * key)
                 acc = factors[0]
                 for s in range(1, m):
-                    acc = product_map(grades[n * s], source).apply(acc, factors[s])
+                    acc = product_map(source.grade(s), source).apply(acc, factors[s])
                 yield (None if acc == direct.images[key] else
                        f"r={r} l={l} top=({i_top},{j_top}) d={d} e={e}: "
                        f"iterated product differs at key {key}")
@@ -277,16 +275,14 @@ def suite_power_coherence(max_r: int) -> Cases:
 
 def suite_cokernel(max_r: int) -> Cases:
     """Tier-map cokernel length is d/e - 1 off the free locus and 0 on it."""
-    cache: dict = {}
+    lengths: dict[GeneratorMap, int] = {}  # power_map returns one object per map
     for r, l, ring, i_top, j_top in _tiers(max_r):
         for d, e in _divisor_chains(r):
             gm = power_map(ring, r, d, e, i_top, j_top)
-            source = gm.source.module
-            key = (l, source.i, source.j, d // e)
-            if key not in cache:
-                cache[key] = cokernel_length(gm)
-            length = cache[key]
-            expected = 0 if source.is_free else d // e - 1
+            if gm not in lengths:
+                lengths[gm] = cokernel_length(gm)
+            length = lengths[gm]
+            expected = 0 if gm.source.module.is_free else d // e - 1
             yield (None if length == expected else
                    f"r={r} l={l} top=({i_top},{j_top}) d={d} e={e}: "
                    f"length {length}, expected {expected}")
@@ -297,31 +293,27 @@ def suite_cokernel(max_r: int) -> Cases:
 
 def suite_localized(max_l: int) -> Cases:
     """After inverting x or y, every product is multiplication by a unit monomial."""
-    for l in range(1, max_l + 1):
-        ring = _ring(l)
-        mods = _modules_over(ring)
-        for a in mods:
-            for b in mods:
-                pm = product_map(a, b)
-                for var in ("x", "y"):
-                    # expected unit: the exponent overflow of the generator product
-                    if var == "x":
-                        overflow, rem = divmod(a.i + b.i - pm.target.i, l)
-                    else:
-                        overflow, rem = divmod(a.j + b.j - pm.target.j, l)
-                    if rem or overflow < 0:
-                        yield f"l={l} {a!r}x{b!r}: unit exponent at {var} is not a nonnegative integer"
-                        continue
-                    unit = LaurentRing(ring.field, var).monomial(1, overflow, 0)
-                    for ka in a.generator_keys:
-                        for kb in b.generator_keys:
-                            lhs = pm.images[(ka, kb)].localized_coefficient(var)
-                            rhs = (unit
-                                   * a.generator(ka).localized_coefficient(var)
-                                   * b.generator(kb).localized_coefficient(var))
-                            yield (None if lhs == rhs else
-                                   f"l={l} {a!r}x{b!r} at {var}, keys ({ka},{kb}): "
-                                   f"{lhs} != {rhs}")
+    for l, ring, mods in _levels(max_l):
+        for a, b, pm in _pairs(mods):
+            for var in ("x", "y"):
+                # expected unit: the exponent overflow of the generator product
+                if var == "x":
+                    overflow, rem = divmod(a.i + b.i - pm.target.i, l)
+                else:
+                    overflow, rem = divmod(a.j + b.j - pm.target.j, l)
+                if rem or overflow < 0:
+                    yield f"l={l} {a!r}x{b!r}: unit exponent at {var} is not a nonnegative integer"
+                    continue
+                unit = LaurentRing(ring.field, var).monomial(1, overflow, 0)
+                for ka in a.generator_keys:
+                    for kb in b.generator_keys:
+                        lhs = pm.images[(ka, kb)].localized_coefficient(var)
+                        rhs = (unit
+                               * a.generator(ka).localized_coefficient(var)
+                               * b.generator(kb).localized_coefficient(var))
+                        yield (None if lhs == rhs else
+                               f"l={l} {a!r}x{b!r} at {var}, keys ({ka},{kb}): "
+                               f"{lhs} != {rhs}")
 
 
 # -- duality ---------------------------------------------------------------
@@ -329,10 +321,9 @@ def suite_localized(max_l: int) -> Cases:
 
 def suite_duality(max_l: int) -> Cases:
     """The pairing with the flipped module is well defined and unimodular off the node."""
-    for l in range(1, max_l + 1):
-        ring = _ring(l)
+    for l, ring, mods in _levels(max_l):
         t, x, y = ring.t, ring.x, ring.y
-        for pres in _modules_over(ring):
+        for pres in mods:
             pairing = dual_pairing(pres)
             if not pairing.target.is_free:
                 yield f"l={l} {pres!r}: pairing misses the free module"
@@ -396,51 +387,37 @@ def suite_resolution() -> Cases:
 # -- stratum enumeration ------------------------------------------------------
 
 
+# The graph family's shapes: vertex ids, edge kinds, edge counts, and the
+# genus and leg budgets shared by the vertices.
+_GRAPH_SHAPES = (
+    (("v0",), (("v0", "v0"),), range(4), 2, 3),
+    (("a", "b"), (("a", "b"), ("a", "a"), ("b", "b")), range(1, 4), 2, 2),
+    (("a", "b", "c"), (("a", "b"), ("a", "c"), ("b", "c"), ("a", "a"), ("b", "b"), ("c", "c")),
+     range(1, 4), 1, 2),
+)
+
+
 def _graph_family():
     """Connected stable graphs with at most 3 vertices and 3 edges.
 
     Genus and leg budgets keep the family finite: one vertex carries
-    genus up to 2 and up to 3 legs; larger graphs share a genus budget
-    of 2 and a leg budget of 2.
+    genus up to 2 and up to 3 legs; two vertices share a genus budget of
+    2, three vertices a genus budget of 1, and both a leg budget of 2.
     """
     graphs = []
-    for genus in range(3):
-        for loops in range(4):
-            for legs in range(4):
-                try:
-                    graphs.append(DualGraph(
-                        (("v0", genus),),
-                        tuple(("v0", "v0") for _ in range(loops)),
-                        tuple(("v0", k + 1) for k in range(legs))))
-                except ValueError:
-                    continue
-    pair_edges = {2: ["ab", "aa", "bb"], 3: ["ab", "ac", "bc", "aa", "bb", "cc"]}
-    budgets = {2: (2, 2), 3: (1, 2)}
-    for nv in (2, 3):
-        names = "abc"[:nv]
-        genus_budget, leg_budget = budgets[nv]
-        genus_opts = [gs for gs in iproduct(range(genus_budget + 1), repeat=nv)
-                      if sum(gs) <= genus_budget]
-        edge_opts = []
-        kinds = pair_edges[nv]
-        for ne in range(1, 4):
-            for combo in iproduct(kinds, repeat=ne):
-                if tuple(sorted(combo)) != combo:
-                    continue  # one representative per multiset
-                edge_opts.append(combo)
-        leg_opts = []
-        for nl in range(leg_budget + 1):
-            for owners in iproduct(names, repeat=nl):
-                leg_opts.append(tuple((owners[k], k + 1) for k in range(nl)))
-        for gs in genus_opts:
-            vertices = tuple((names[k], gs[k]) for k in range(nv))
-            for combo in edge_opts:
-                edges = tuple((kind[0], kind[1]) for kind in combo)
-                for legs in leg_opts:
-                    try:
-                        graphs.append(DualGraph(vertices, edges, legs))
-                    except ValueError:
-                        continue
+    for ids, kinds, edge_counts, genus_budget, leg_budget in _GRAPH_SHAPES:
+        genera = [gs for gs in iproduct(range(genus_budget + 1), repeat=len(ids))
+                  if sum(gs) <= genus_budget]
+        # one edge tuple per multiset of kinds: its sorted representative
+        edge_sets = [combo for ne in edge_counts for combo in iproduct(kinds, repeat=ne)
+                     if tuple(sorted(combo)) == combo]
+        leg_sets = [tuple(zip(owners, range(1, nl + 1)))
+                    for nl in range(leg_budget + 1) for owners in iproduct(ids, repeat=nl)]
+        for gs, edges, legs in iproduct(genera, edge_sets, leg_sets):
+            try:
+                graphs.append(DualGraph(tuple(zip(ids, gs)), edges, legs))
+            except ValueError:
+                continue
     return [g for g in graphs if stability_check(g)]
 
 
@@ -569,22 +546,17 @@ def suite_closed_forms() -> Cases:
 
 def suite_oracle_agreement(max_r: int) -> Cases:
     """Every product and power image re-derives from the covering-chart model."""
-    for l in range(1, max_r + 1):
-        mods = _modules_over(_ring(l))
-        for a in mods:
-            for b in mods:
-                pm = product_map(a, b)
-                want = oracle_product_images(a, b, pm.target)
-                for key in pm.images:
-                    yield (None if pm.images[key] == want[key] else
-                           f"l={l} {a!r}x{b!r} key {key}: oracle disagrees")
-        for pres in mods:
-            for m in range(1, 5):
-                gm = sym_power_map(pres, m)
-                want = oracle_sym_power_images(pres, m, gm.target)
-                for key in gm.images:
-                    yield (None if gm.images[key] == want[key] else
-                           f"l={l} Sym^{m} {pres!r} key {key}: oracle disagrees")
+    for l, _, mods in _levels(max_r):
+        for a, b, pm in _pairs(mods):
+            want = oracle_product_images(a, b, pm.target)
+            for key in pm.images:
+                yield (None if pm.images[key] == want[key] else
+                       f"l={l} {a!r}x{b!r} key {key}: oracle disagrees")
+        for pres, m, gm in _sym_powers(mods):
+            want = oracle_sym_power_images(pres, m, gm.target)
+            for key in gm.images:
+                yield (None if gm.images[key] == want[key] else
+                       f"l={l} Sym^{m} {pres!r} key {key}: oracle disagrees")
     for r, l, ring, i_top, j_top in _tiers(max_r):
         for d, e in _divisor_chains(r):
             gm = power_map(ring, r, d, e, i_top, j_top)
