@@ -148,12 +148,14 @@ def spin_chi(g: int, n: int, r: int, m: tuple[int, ...]) -> int | None:
     numerator; otherwise no root sheaf of that type exists and the
     function returns None.
     """
-    if r < 1:
+    if type(r) is not int or r < 1:  # bool and float are refused too
         raise ValueError("level r must be a positive integer")
     if len(m) != n:
         raise ValueError(f"type length {len(m)} does not match n={n}")
-    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
-        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
+    if type(g) is not int or type(n) is not int or g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise ValueError(f"(g, n) = ({g!r}, {n!r}) is not stable")
+    if any(type(mi) is not int for mi in m):
+        raise ValueError(f"type entries must be integers; got m={m!r}")
     numerator = 2 * g - 2 + n - sum(m)
     if numerator % r != 0:
         return None
@@ -162,10 +164,10 @@ def spin_chi(g: int, n: int, r: int, m: tuple[int, ...]) -> int | None:
 
 def deformation_dimension(g: int, n: int, unbalanced_nodes: int = 0) -> int:
     """Dimension 3g - 3 + n of the moduli spot, minus one per unbalanced node."""
-    if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
-        raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
-    if unbalanced_nodes < 0:
-        raise ValueError("node count must be nonnegative")
+    if type(g) is not int or type(n) is not int or g < 0 or n < 0 or 2 * g - 2 + n <= 0:
+        raise ValueError(f"(g, n) = ({g!r}, {n!r}) is not stable")
+    if type(unbalanced_nodes) is not int or unbalanced_nodes < 0:
+        raise ValueError(f"node count must be a nonnegative integer; got {unbalanced_nodes!r}")
     return 3 * g - 3 + n - unbalanced_nodes
 
 

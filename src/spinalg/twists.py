@@ -36,10 +36,10 @@ def index_from_twist(k: int, r: int) -> TwistData:
     k = 0 is the untwisted (free) case: l = 1 and a = b = 0.  Otherwise
     a and b are positive, coprime to l, and sum to l.
     """
-    if r < 1:
+    if type(r) is not int or r < 1:  # bool and float are refused too
         raise ValueError("level r must be a positive integer")
-    if not (0 <= k < r):
-        raise ValueError(f"twist must satisfy 0 <= k < r; got k={k}")
+    if type(k) is not int or not (0 <= k < r):
+        raise ValueError(f"twist must be an integer with 0 <= k < r; got k={k!r}")
     if k == 0:
         return TwistData(0, r, 1, 0, 0)
     g = gcd(k, r)

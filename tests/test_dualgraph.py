@@ -112,6 +112,29 @@ def test_deformation_dimension():
     assert deformation_dimension(0, 4) == 1
 
 
+@pytest.mark.parametrize("call, args, message", [
+    (spin_chi, (2, 1, 0, (1,)), "level r must be a positive integer"),
+    (spin_chi, (2, 1, True, (1,)), "level r must be a positive integer"),
+    (spin_chi, (2, 1, 2.0, (1,)), "level r must be a positive integer"),
+    (spin_chi, (2, 1, 2, (1, 1)), "type length 2 does not match n=1"),
+    (spin_chi, (0, 2, 2, (0, 0)), "(g, n) = (0, 2) is not stable"),
+    (spin_chi, (2.0, 1, 2, (1,)), "(g, n) = (2.0, 1) is not stable"),
+    (spin_chi, (2, True, 2, (1,)), "(g, n) = (2, True) is not stable"),
+    (spin_chi, (2, 1, 2, (True,)), "type entries must be integers; got m=(True,)"),
+    (spin_chi, (2, 1, 2, (1.0,)), "type entries must be integers; got m=(1.0,)"),
+    (deformation_dimension, (0, 2), "(g, n) = (0, 2) is not stable"),
+    (deformation_dimension, (True, 1), "(g, n) = (True, 1) is not stable"),
+    (deformation_dimension, (2, 1.0), "(g, n) = (2, 1.0) is not stable"),
+    (deformation_dimension, (2, 1, -1), "node count must be a nonnegative integer; got -1"),
+    (deformation_dimension, (2, 1, True), "node count must be a nonnegative integer; got True"),
+    (deformation_dimension, (2, 1, 1.0), "node count must be a nonnegative integer; got 1.0"),
+])
+def test_closed_forms_refuse_a_non_integer_or_out_of_range_argument(call, args, message):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert str(info.value) == message
+
+
 def test_vertex_degree_test():
     assert_vertex_degree_answers()
 

@@ -27,6 +27,21 @@ def test_index_from_twist_cases():
         index_from_twist(-1, 6)
 
 
+@pytest.mark.parametrize("k, r, message", [
+    (1, 0, "level r must be a positive integer"),
+    (1, True, "level r must be a positive integer"),
+    (1, 3.0, "level r must be a positive integer"),
+    (3, 3, "twist must be an integer with 0 <= k < r; got k=3"),
+    (-1, 3, "twist must be an integer with 0 <= k < r; got k=-1"),
+    (True, 3, "twist must be an integer with 0 <= k < r; got k=True"),
+    (1.0, 3, "twist must be an integer with 0 <= k < r; got k=1.0"),
+])
+def test_index_from_twist_refuses_a_non_integer_or_out_of_range_argument(k, r, message):
+    with pytest.raises(ValueError) as info:
+        index_from_twist(k, r)
+    assert str(info.value) == message
+
+
 def test_twist_data_roundtrip():
     # a/l in lowest terms and k = a * (r/l) recover each other
     for r in (2, 3, 4, 6, 12):
