@@ -82,10 +82,10 @@ def _ring(l: int) -> NodeRing:
 
 
 def _levels(max_l: int):
-    """(l, ring, modules) for l <= max_l: the free module and every standard pair M(i, l - i)."""
+    """(l, ring, modules) for l <= max_l: the free module M(0, 0), then each M(i, l - i)."""
     for l in range(1, max_l + 1):
         ring = _ring(l)
-        yield l, ring, [make_module(ring, 0, 0)] + [make_module(ring, i, l - i) for i in range(1, l)]
+        yield l, ring, [make_module(ring, i, (l - i) % l) for i in range(l)]
 
 
 def _pairs(mods: list[ModulePresentation]):
@@ -131,8 +131,7 @@ def _random_element(ring: NodeRing, rng: random.Random):
 def suite_ring_laws(max_l: int) -> Cases:
     """Commutative-ring axioms and evaluation homomorphisms on random triples."""
     rng = random.Random(RING_SEED)
-    for l in range(1, max_l + 1):
-        ring = _ring(l)
+    for _, ring, _ in _levels(max_l):
         t0 = rng.randrange(ring.field.p)
         for _ in range(RING_CASES_PER_L):
             yield _ring_law_failure(ring, t0, *(_random_element(ring, rng) for _ in range(3)))
