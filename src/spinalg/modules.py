@@ -404,27 +404,20 @@ def monomial_basis(pres: ModulePresentation, degree: int) -> tuple[tuple[int, in
     return ((1, degree), (2, degree))
 
 
-def _vectorize(elem: ModuleElement, index: dict[tuple[int, int], int]) -> list[int]:
-    """Coordinates of a t-specialized element in the monomial basis slices."""
-    vec = [0] * len(index)
-    for (xe, ye, te), c in elem.f.terms.items():
-        if te:
-            raise ValueError("element is not specialized")
-        key = (1, xe) if ye == 0 else (2, ye)
-        vec[index[key]] = c
-    for (xe, ye, te), c in elem.g.terms.items():
-        if te:
-            raise ValueError("element is not specialized")
-        vec[index[(2, ye)]] = c
-    return vec
-
-
 def cokernel_length(gmap: GeneratorMap) -> int:
     """K-dimension of the cokernel at t = 0 of a well-defined map given with t generic.
 
+    At t = 0 the two branches decouple: M(i, j) is k[x]e1 + k[y]e2 and the
+    free module is k + x*k[x] + y*k[y].  Each image is specialized once and
+    split into its x-branch (e1, and the free module's constant) and its
+    y-branch (e2).  Then x^a times an image shifts its x-branch by a and
+    kills its y-branch (x*y = 0 and x*e2 = t^j x^(a-1) e1 = 0), y^a does
+    the reverse, and on the free module the constant shifts onto both
+    branches.  Every image row is such a shift, with no ring product.
+
     Works degree by degree: with Q_m the cokernel dimension in degrees
     <= m, the answer is the stable value of Q_m.  At t = 0 multiplying
-    by x or y never lowers degree, so products of image generators by
+    by x or y never lowers degree, so the shifts of the images by
     monomials of degree <= M span every image element of degree <= M,
     making each Q_m exact.  _linalg.row_reduce puts the image rows into
     an echelon basis once; each slice's coordinate rows are then reduced
@@ -433,7 +426,7 @@ def cokernel_length(gmap: GeneratorMap) -> int:
     Stops after three consecutive zero increments, counted once
     m >= max(i, j, l); the top image degree only sets the search cap
     max(i, j, l, image degree) + 8, past which it raises RuntimeError.
-    The three-zero stop is a heuristic.
+    The three-zero stop is still a heuristic, not a proof.
     """
     violation = check_well_defined(gmap)
     if violation is not None:
@@ -442,8 +435,14 @@ def cokernel_length(gmap: GeneratorMap) -> int:
     pres = gmap.target
     ring = pres.ring
     p = ring.field.p
-    images = [img.specialize(0) for img in gmap.images.values()]
-    img_degree = max((max(im.f.xy_degree(), im.g.xy_degree()) for im in images), default=0)
+    images = []  # (x-branch, y-branch) per image: exponent -> coefficient at t = 0
+    for img in gmap.images.values():
+        xb, yb = {}, {}
+        for (xe, ye, _te), c in img.f.specialize(0).terms.items():
+            (yb if ye else xb)[xe + ye] = c  # only the free module has y on e1
+        yb.update((ye, c) for (_xe, ye, _te), c in img.g.specialize(0).terms.items())
+        images.append((xb, yb))
+    img_degree = max((max(xb.keys() | yb.keys(), default=0) for xb, yb in images), default=0)
     floor = max(pres.i, pres.j, ring.l, img_degree)
     cap = floor + 8
 
@@ -452,16 +451,20 @@ def cokernel_length(gmap: GeneratorMap) -> int:
         basis.extend(monomial_basis(pres, d))
     index = {key: n for n, key in enumerate(basis)}
 
-    multipliers = [ring.one()]
+    def shift_row(xs: dict, ys: dict, a: int) -> list[int]:
+        vec = [0] * len(basis)
+        for e, c in xs.items():
+            vec[index[1, e + a]] = c
+        for e, c in ys.items():
+            vec[index[2, e + a]] = c
+        return vec
+
+    # multiplier-major: 1, then x^a and y^a for a = 1..cap, each over the images
+    x_parts = [(xb, {}) for xb, _yb in images]
+    y_parts = [({}, {0: xb[0], **yb} if pres.is_free and 0 in xb else yb) for xb, yb in images]
+    image_rows = [shift_row(xs, ys, 0) for xs, ys in images if xs or ys]
     for a in range(1, cap + 1):
-        multipliers.append(ring.x(a))
-        multipliers.append(ring.y(a))
-    image_rows = []
-    for mu in multipliers:
-        for im in images:
-            prod = (mu * im).specialize(0)
-            if not prod.is_zero:
-                image_rows.append(_vectorize(prod, index))
+        image_rows.extend(shift_row(xs, ys, a) for xs, ys in x_parts + y_parts if xs or ys)
     _, pivots = _linalg.row_reduce(image_rows, p)
 
     q = prev_q = 0

@@ -13,7 +13,7 @@ from ._record import Record
 
 
 class TwistData(Record):
-    """Node twist k at level r with its derived local exponents."""
+    """Node twist k at level r with its local exponents (l, a, b), checked to be those derived from (k, r)."""
 
     __slots__ = _fields = ("k", "r", "l", "a", "b")
 
@@ -23,8 +23,12 @@ class TwistData(Record):
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        if not (type(k) is type(r) is type(l) is type(a) is type(b) is int):  # refuses bool and float too
+            raise ValueError(f"twist fields must be integers; got {self!r}")
         if not (0 <= k < r):
             raise ValueError(f"twist must satisfy 0 <= k < r; got k={k}, r={r}")
+        if (l, a, b) != _exponents(k, r):
+            raise ValueError(f"(l, a, b) = ({l}, {a}, {b}) is not derived from k={k}, r={r}")
 
     def __str__(self):
         return f"{self.k}({self.l},{self.a},{self.b})"
@@ -40,10 +44,13 @@ def index_from_twist(k: int, r: int) -> TwistData:
         raise ValueError("level r must be a positive integer")
     if type(k) is not int or not (0 <= k < r):
         raise ValueError(f"twist must be an integer with 0 <= k < r; got k={k!r}")
+    return TwistData(k, r, *_exponents(k, r))
+
+
+def _exponents(k: int, r: int) -> tuple[int, int, int]:
+    """(l, a, b) = (r, k, r - k) / gcd(k, r) for 0 < k < r, and (1, 0, 0) for k = 0."""
     if k == 0:
-        return TwistData(0, r, 1, 0, 0)
+        return 1, 0, 0
     g = gcd(k, r)
-    l = r // g
-    a = k // g
-    return TwistData(k, r, l, a, l - a)
+    return r // g, k // g, (r - k) // g
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from spinalg.field import FieldConfig
 from spinalg.modules import make_module
 from spinalg.products import tier_module
 from spinalg.ring import NodeRing
-from spinalg.twists import index_from_twist
+from spinalg.twists import TwistData, index_from_twist
 
 
 def test_index_from_twist_zero():
@@ -49,6 +52,27 @@ def test_twist_data_roundtrip():
             d = index_from_twist(k, r)
             assert d.a * (r // d.l) == k
             assert (d.a + d.b) % d.l == 0
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((True, 3, 3, 1, 2), "twist fields must be integers; got TwistData(k=True, r=3, l=3, a=1, b=2)"),
+    ((1.0, 3.0, 3, 1, 2), "twist fields must be integers; got TwistData(k=1.0, r=3.0, l=3, a=1, b=2)"),
+    ((1, 3, 7, 0, -5), "(l, a, b) = (7, 0, -5) is not derived from k=1, r=3"),
+    ((0, 3, 1, 0, 1), "(l, a, b) = (1, 0, 1) is not derived from k=0, r=3"),
+    ((2, 6, 3, 1, True), "twist fields must be integers; got TwistData(k=2, r=6, l=3, a=1, b=True)"),
+])
+def test_twist_data_refuses_what_index_from_twist_refuses(fields, message):
+    with pytest.raises(ValueError) as info:
+        TwistData(*fields)
+    assert str(info.value) == message
+
+
+def test_twist_data_copies_and_pickles_through_its_checks():
+    for r in range(1, 13):
+        for k in range(r):
+            d = index_from_twist(k, r)
+            for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+                assert twin == d and twin is not d and str(twin) == str(d)
 
 
 def test_twist_display():
