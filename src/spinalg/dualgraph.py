@@ -171,12 +171,12 @@ def deformation_dimension(g: int, n: int, unbalanced_nodes: int = 0) -> int:
     return 3 * g - 3 + n - unbalanced_nodes
 
 
-def vertex_degree_test(graph: DualGraph, vid: str, r: int, m: tuple[int, ...],
-                       heads: tuple[int, ...]) -> bool:
-    """r divides 2g_v - 2 + valence - (incident twists): the root exists on that component.
+def vertex_excess(graph: DualGraph, vid: str, m: tuple[int, ...], heads: tuple[int, ...]) -> int:
+    """2g_v - 2 + valence - (incident twists), as an integer; the root needs r to divide it.
 
     The one statement of the vertex rule; it counts the half edges itself.
     A leg adds 1 - m_i, an edge end 1 - k at the head and 1 + k at the tail.
+    Only the legs read m, so the excess is linear in the type.
     """
     total = 2 * graph.genus_of(vid) - 2 + sum(1 - m[mk - 1] for v, mk in graph.legs if v == vid)
     for (a, b), k in zip(graph.edges, heads):
@@ -184,7 +184,22 @@ def vertex_degree_test(graph: DualGraph, vid: str, r: int, m: tuple[int, ...],
             total += 1 - k
         if b == vid:
             total += 1 + k
-    return total % r == 0
+    return total
+
+
+def vertex_degree_test(graph: DualGraph, vid: str, r: int, m: tuple[int, ...],
+                       heads: tuple[int, ...]) -> bool:
+    """r divides `vertex_excess`: the root exists on that component.
+
+    Refuses an r that is not a positive int, and an m or heads of the wrong length.
+    """
+    if type(r) is not int or r < 1:  # bool and float are refused too
+        raise ValueError("level r must be a positive integer")
+    if len(m) != graph.n_markings:
+        raise ValueError(f"type length {len(m)} does not match the {graph.n_markings} legs")
+    if len(heads) != len(graph.edges):
+        raise ValueError(f"{len(heads)} head twists do not match the {len(graph.edges)} edges")
+    return vertex_excess(graph, vid, m, heads) % r == 0
 
 
 def enumerate_assignments(graph: DualGraph, r: int, m: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -160,6 +160,23 @@ def assert_vertex_degree_answers():
     assert not vertex_degree_test(h, "a", 3, (0, 0), (1,))
 
 
+@pytest.mark.parametrize("r, m, heads, message", [
+    (True, (0, 0), (2,), "level r must be a positive integer"),
+    (0, (0, 0), (2,), "level r must be a positive integer"),
+    (-3, (0, 0), (2,), "level r must be a positive integer"),
+    (3.0, (0, 0), (2,), "level r must be a positive integer"),
+    (3, (0, 0, 0), (2,), "type length 3 does not match the 2 legs"),
+    (3, (0,), (2,), "type length 1 does not match the 2 legs"),
+    (3, (0, 0), (), "0 head twists do not match the 1 edges"),
+    (3, (0, 0), (2, 2), "2 head twists do not match the 1 edges"),
+], ids=["r-true", "r-zero", "r-negative", "r-float", "type-long", "type-short",
+        "heads-short", "heads-long"])
+def test_vertex_degree_test_refuses_a_bad_level_type_or_head_vector(r, m, heads, message):
+    with pytest.raises(ValueError) as info:
+        vertex_degree_test(two_vertex_graph(), "a", r, m, heads)
+    assert str(info.value) == message
+
+
 def test_loop_graph_worked_example():
     g = loop_graph()
     assert len(enumerate_assignments(g, 2, (1,))) == 2
@@ -212,6 +229,30 @@ def test_enumeration_matches_brute_force_in_order(graph, r, data):
     assert listed == verify._brute_force_assignments(graph, r, m)
     for heads in listed:
         assert all(vertex_degree_test(graph, v, r, m, heads) for v, _g in graph.vertices)
+
+
+def _reference_assignments(graph, r, m):
+    """The per-type scan: r^E head vectors, each tested at every vertex at type m."""
+    return [heads for heads in iproduct(range(r), repeat=len(graph.edges))
+            if all(vertex_degree_test(graph, v, r, m, heads) for v, _g in graph.vertices)]
+
+
+def test_one_scan_per_level_matches_the_per_type_scan_on_the_graph_family():
+    for graph in verify._graph_family():
+        for r in range(1, 5):
+            for m in iproduct(range(r), repeat=graph.n_markings):
+                assert verify._brute_force_assignments(graph, r, m) == \
+                    _reference_assignments(graph, r, m), (graph, r, m)
+
+
+@given(_stable_graphs(), st.integers(1, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_scan_per_level_matches_the_per_type_scan(graph, r, data):
+    """Any type, negative or at least r, reads its bucket of the one scan."""
+    assume(r ** len(graph.edges) <= 1296)
+    m = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=graph.n_markings,
+                                 max_size=graph.n_markings)))
+    assert verify._brute_force_assignments(graph, r, m) == _reference_assignments(graph, r, m)
 
 
 @given(_stable_graphs(), st.integers(5, 9), st.data())

@@ -51,16 +51,35 @@ def test_a_raising_suite_fails_the_run_and_the_others_still_run(monkeypatch, cap
 
 
 def test_enumeration_certificate_catches_a_repeat_above_the_brute_force_levels(monkeypatch):
-    """Past BRUTE_FORCE_MAX_R no r^E scan runs; the certificate alone must fail."""
+    """A repeated row at level 5 fails the certificate before the r^E scan is compared."""
     def repeating(graph, r, m):
         listed = enumerate_assignments(graph, r, m)
-        return listed + listed[-1:] if r > verify.BRUTE_FORCE_MAX_R else listed
+        return listed + listed[-1:] if r > 4 else listed
 
     monkeypatch.setattr(verify, "enumerate_assignments", repeating)
-    r = verify.BRUTE_FORCE_MAX_R + 1
+    r = 5
     failures = [msg for msg in verify.suite_enumeration(r) if msg is not None]
     assert failures
     assert all(f" r={r} " in msg and "not strictly increasing" in msg for msg in failures)
+
+
+def test_stratum_suite_scans_each_graph_and_level_once(monkeypatch):
+    """V vertex excesses per head vector, one r^E scan per (graph, r), not one per type."""
+    calls = 0
+    excess = verify.vertex_excess
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return excess(*args)
+
+    monkeypatch.setattr(verify, "vertex_excess", counting)
+    verify._scan.cache_clear()
+    assert all(msg is None for msg in verify.suite_enumeration(4))
+    # the loop example lists through enumerate_assignments and adds no call
+    bound = sum(r ** len(g.edges) * len(g.vertices)
+                for g in verify._graph_family() for r in range(2, 5))
+    assert 0 < calls <= bound
 
 
 # Case count and sha256 of repr(outcomes) per suite at max_r = 3 with every
