@@ -10,8 +10,11 @@ with the field values, so the constructor validates (and interns) copies
 too.  Assigning or deleting an attribute raises AttributeError.
 
 An Interned record is one object per field tuple, so equality and hashing
-are identity.  Its `__new__` validates the fields, refusing a bool or float
-for an int (True and 1.0 hash like 1), then returns `cls._intern(*fields)`.
+are identity.  Its `__new__` refuses a bool or float for an int before the
+table is read (True and 1.0 hash like 1, so they would find the int's
+record), then returns `cls._intern(*fields)`.  Checks that cost more may run
+only when the table has no record yet: FieldConfig tests primality once per
+(p, r).
 """
 from __future__ import annotations
 

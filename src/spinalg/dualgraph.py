@@ -178,7 +178,10 @@ def vertex_excess(graph: DualGraph, vid: str, m: tuple[int, ...], heads: tuple[i
     A leg adds 1 - m_i, an edge end 1 - k at the head and 1 + k at the tail.
     Only the legs read m, so the excess is linear in the type.
     """
-    total = 2 * graph.genus_of(vid) - 2 + sum(1 - m[mk - 1] for v, mk in graph.legs if v == vid)
+    total = 2 * graph.genus_of(vid) - 2
+    for v, mk in graph.legs:
+        if v == vid:
+            total += 1 - m[mk - 1]
     for (a, b), k in zip(graph.edges, heads):
         if a == vid:
             total += 1 - k

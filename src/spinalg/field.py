@@ -76,10 +76,15 @@ class FieldConfig(Interned):
     __slots__ = _fields = ("p", "r")
 
     def __new__(cls, p: int, r: int):
-        cls.__post_init__(p, r)
-        return cls._intern(p, r)
+        # a bool or float hashes like its int, so only exact ints may look up
+        # the table; the primality test runs once per (p, r), on a miss
+        record = cls._table.get((p, r)) if type(p) is type(r) is int else None
+        if record is None:
+            cls.__post_init__(p, r)
+            record = cls._intern(p, r)
+        return record
 
-    # own method, called once per construction: perfbench/tracing.py wraps it
+    # own method, called once per new (p, r): perfbench/tracing.py wraps it
     @staticmethod
     def __post_init__(p: int, r: int):
         if type(r) is not int or r < 1:

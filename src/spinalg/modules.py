@@ -11,6 +11,9 @@ e1 and g = 0).  The presentation relations rewrite any stray monomial:
     y^b t^c on e1  ->  t^(c+i) y^(b-1) on e2
     x^a t^c on e2  ->  t^(c+j) x^(a-1) on e1
 and one pass suffices because the moved monomials are already clean.
+ModulePresentation._gather is the one statement of that rewrite: it adds
+ring terms standing on e1 or on e2 straight into the two term dicts of a
+normal form.
 
 Maps out of modules, tensor products, and symmetric powers are recorded
 by generator images (GeneratorMap).  Each source kind (LinearSource,
@@ -19,8 +22,9 @@ of its arguments on those keys, and its relations as combinations of
 keys; GeneratorMap.apply sums coefficient * image, and
 check_well_defined pushes every relation through the images and reports
 the first nonzero defect, without either knowing the source kind.  Both
-sum the e1 and e2 ring parts first and normalize once (_combine): exact,
-since element is linear, so normalizing the sum is the sum of normal forms.
+go through _combine, which gathers the terms of each ring product
+c * (image part) into the result as the product is formed: no
+intermediate ring sum is built and no term is rewritten twice.
 """
 from __future__ import annotations
 
@@ -68,24 +72,39 @@ class ModulePresentation(Interned):
             c2 = ring.const(c2)
         if c1.ring is not ring or c2.ring is not ring:  # node rings are interned
             raise ValueError("coefficients live in a different ring")
-        if self.is_free:
-            return ModuleElement(self, c1 + c2, ring.zero())
-        # c1 and c2 are normal forms, so only a moved c1 term and a c2 term
-        # can share a key (on e2), or a c1 term and a moved c2 term (on e1)
-        p, f, g = ring.field.p, {}, {}
-        for (xe, ye, te), c in c1.terms.items():
-            if ye:
-                g[(0, ye - 1, te + self.i)] = c
+        f, g = {}, {}
+        self._gather(f, g, c1.terms, False)
+        self._gather(f, g, c2.terms, True)
+        return ModuleElement(self, RingElement(ring, f), RingElement(ring, g))
+
+    def _gather(self, f: dict, g: dict, terms: dict, on_e2: bool) -> None:
+        """Add normal-form ring terms standing on e1 (on e2 if on_e2) into f and g.
+
+        f and g are the e1 and e2 term dicts of a module normal form being
+        built.  A y-term on e1 moves to e2 and an x-term on e2 moves to e1
+        (the rewrite in the module docstring); the free module keeps every
+        term on e1.
+        """
+        p, i, j = self.ring.field.p, self.i, self.j
+        free = i == 0
+        for key, c in terms.items():
+            xe, ye, te = key
+            if free:
+                part = f
+            elif on_e2:
+                if xe:
+                    part, key = f, (xe - 1, 0, te + j)
+                else:
+                    part = g
+            elif ye:
+                part, key = g, (0, ye - 1, te + i)
             else:
-                f[(xe, 0, te)] = c
-        for (xe, ye, te), c in c2.terms.items():
-            part, key = (f, (xe - 1, 0, te + self.j)) if xe else (g, (0, ye, te))
+                part = f
             c = (part.get(key, 0) + c) % p
             if c:
                 part[key] = c
-            else:
-                part.pop(key)
-        return ModuleElement(self, RingElement(ring, f), RingElement(ring, g))
+            else:  # the added c was nonzero mod p, so the key was present
+                del part[key]
 
     def generator(self, key: int) -> ModuleElement:
         if key not in self.generator_keys:
@@ -332,30 +351,34 @@ class GeneratorMap:
         """Evaluate on module elements, one per source slot.
 
         Linear: one argument.  Tensor: (left, right).  Symmetric power m:
-        m arguments, in any order since the images are symmetric.  The sum
-        of coefficient * image is normalized once, by _combine.
+        m arguments, in any order since the images are symmetric.  Each
+        coefficient * image product is gathered into the result by _combine.
         """
-        images = self.images
-        return _combine(self.target, ((c, images[key])
-                                      for key, c in self.source.coefficients(*elements)))
+        return _combine(self.target, self.source.coefficients(*elements), self.images)
 
     def __repr__(self):
         return f"GeneratorMap({self.source!r} -> {self.target!r})"
 
 
-def _combine(target: ModulePresentation, pairs) -> ModuleElement:
-    """Sum of c * image over (c, image) pairs with one target.element call.
+def _combine(target: ModulePresentation, pairs, images: dict) -> ModuleElement:
+    """Sum of c * images[key] over the (key, c) pairs, as a normal form.
 
-    element is linear, so element(sum of c*f, sum of c*g) is the sum of the
-    element(c*f, c*g) = c * image.  Zero parts and coefficients add no products.
+    Each ring product c * (image part) is gathered into the two term dicts
+    as it is formed (target._gather), so no ring sum is built.  Zero
+    coefficients and zero image parts add no products.
     """
-    f = g = target.ring.zero()
-    for c, img in pairs:
-        if not (c.is_zero or img.f.is_zero):
-            f = f + c * img.f
-        if not (c.is_zero or img.g.is_zero):
-            g = g + c * img.g
-    return target.element(f, g)
+    gather = target._gather
+    f, g = {}, {}
+    for key, c in pairs:
+        if c.is_zero:
+            continue
+        img = images[key]
+        if not img.f.is_zero:
+            gather(f, g, (c * img.f).terms, False)
+        if not img.g.is_zero:
+            gather(f, g, (c * img.g).terms, True)
+    ring = target.ring
+    return ModuleElement(target, RingElement(ring, f), RingElement(ring, g))
 
 
 class RelationViolation:
@@ -376,12 +399,12 @@ def check_well_defined(gmap: GeneratorMap) -> RelationViolation | None:
 
     A defect that is zero with t generic stays zero at every value of t,
     so a pass certifies every specialization; the converse fails, which
-    is what makes extra maps appear at t = 0.  Each defect is normalized
-    once, by _combine, and equals the term-by-term module sum.
+    is what makes extra maps appear at t = 0.  Each defect is gathered by
+    _combine and equals the term-by-term module sum.
     """
     target, images = gmap.target, gmap.images
     for description, rel in gmap.source.relations():
-        defect = _combine(target, ((coeff, images[key]) for coeff, key in rel))
+        defect = _combine(target, ((key, coeff) for coeff, key in rel), images)
         if not defect.is_zero:
             return RelationViolation(description, defect)
     return None

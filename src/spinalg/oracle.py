@@ -164,5 +164,9 @@ def oracle_sym_power_images(pres: ModulePresentation, m: int,
     if pres.is_free:  # one generator, so the single key 0
         return {0: lower_element(chart, lift1 ** m, target, m * s)}
     lift2 = lift_element(chart, pres.generator(2), s)
-    return {k: lower_element(chart, lift1 ** (m - k) * lift2 ** k, target, m * s)
-            for k in range(m + 1)}
+    # lift^0..m of each generator, one chart product per power
+    up1, up2 = [chart.one()], [chart.one()]
+    for _ in range(m):
+        up1.append(up1[-1] * lift1)
+        up2.append(up2[-1] * lift2)
+    return {k: lower_element(chart, up1[m - k] * up2[k], target, m * s) for k in range(m + 1)}

@@ -118,3 +118,27 @@ def test_tracer_counts_cached_map_calls_and_the_same_ring_work(tmp_path, monkeyp
     _, uncached = _traced_tiers_pass(run, api, tmp_path)
     for name in ("products.power_map", "products.product_map", "ring.mul", "modules.apply"):
         assert calls[name] == uncached[name] > 0, name
+
+
+def test_one_tiers_item_reaches_every_layer_the_tiers_workload_names(tmp_path):
+    """A Tiers.call item runs through the ring, apply, chart and chain layers.
+
+    A fused fast path that skipped RingElement.__mul__ or GeneratorMap.apply
+    would leave the tiers workload's per-layer metrics reading 0.
+    """
+    run = _load_run()
+    api = run.load_api()
+    wl = run.WORKLOADS["tiers"](1, True, tmp_path)
+    # r = 4, l = 2, top pair (1, 1), d = 4 -> e = 1: Sym^4 of M(1, 1), three
+    # product steps, a chart power and the chains through d1 = 1, 2, 4
+    item = (4, 2, 1, 1, 4, 1)
+    assert item in wl.items
+    tracer = run.Tracer()
+    run.install(tracer, api)
+    try:
+        out = tracer.item(0, wl.call, api, item)
+    finally:
+        tracer.uninstall()
+    assert wl.check(item, out)
+    for name in ("ring.mul", "modules.apply", "oracle.up_mul", "products.compatibility_check"):
+        assert tracer.calls[name] > 0, name

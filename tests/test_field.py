@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import spinalg.field
 from spinalg.field import FieldConfig, default_prime, is_prime
 
 
@@ -54,6 +55,30 @@ def test_field_config_validation():
         FieldConfig(5, 3)  # 5 != 1 mod 3
     with pytest.raises(ValueError, match="level r must be a positive integer"):
         FieldConfig(5, True)  # a bool is no level, though True == 1
+
+
+def test_field_config_checks_a_new_field_once_and_refuses_bad_arguments_after_a_hit(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(spinalg.field, "is_prime", counted)
+    FieldConfig(10007, 1), FieldConfig(97, 1)  # stored now, unless an earlier test stored them
+    calls.clear()
+    assert FieldConfig(10007, 1) is FieldConfig(10007, 1)
+    assert FieldConfig(97, 1) is FieldConfig.for_level(1, 97)
+    assert calls == []  # a table hit runs no primality test
+    # True and 97.0 hash like 1 and 97, so they would find the stored records
+    for p, r, message in ((97, True, "level r must be a positive integer"),
+                          (97, 1.0, "level r must be a positive integer"),
+                          (97.0, 1, "97.0 is not prime"),
+                          (True, 1, "True is not prime"),
+                          (10007.0, 1, "10007.0 is not prime"),
+                          (91, 1, "91 is not prime")):
+        with pytest.raises(ValueError, match=message):
+            FieldConfig(p, r)
 
 
 def test_for_level_picks_default():

@@ -381,26 +381,171 @@ def test_check_well_defined_matches_termwise_defects(case, data):
 
 
 def test_apply_and_each_relation_normalize_once(monkeypatch):
-    calls = []
-    element = ModulePresentation.element
+    """Each c * image product passes through the rewrite once, as it is formed.
 
-    def counted(self, c1, c2=0):
-        calls.append(self)
-        return element(self, c1, c2)
-
+    apply calls neither ModulePresentation.element nor a ring __add__: the
+    products are gathered straight into the result's term dicts.  The Sym^4
+    arguments lie on one generator each, so its coefficient recurrence adds
+    nothing either; check_well_defined gathers each relation's products the
+    same way.
+    """
     rng = random.Random(1717)
     r4 = ring(4)
     a, b = make_module(r4, 1, 3), make_module(r4, 2, 2)
+    on_one = [ModuleElement(a, e.f, r4.zero()) if k % 2 else ModuleElement(a, r4.zero(), e.g)
+              for k, e in enumerate(random_element(rng, a) for _ in range(4))]
     cases = [(product_map(a, b), [random_element(rng, a), random_element(rng, b)]),
-             (sym_power_map(a, 4), [random_element(rng, a) for _ in range(4)])]
-    monkeypatch.setattr(ModulePresentation, "element", counted)
+             (sym_power_map(a, 4), on_one)]
+    element, add = ModulePresentation.element, TermElement.__add__
+    mul, gather = RingElement.__mul__, ModulePresentation._gather
+    elements, sums, products, gathered, image_parts = [], [], [], [], set()
+
+    def counted_element(self, c1, c2=0):
+        elements.append(self)
+        return element(self, c1, c2)
+
+    def counted_add(self, other):
+        sums.append(self)
+        return add(self, other)
+
+    def counted_mul(self, other):
+        out = mul(self, other)
+        if id(other) in image_parts:  # c * (image part), kept alive so ids stay unique
+            products.append(out)
+        return out
+
+    def counted_gather(self, f, g, terms, on_e2):
+        gathered.append(terms)
+        return gather(self, f, g, terms, on_e2)
+
+    monkeypatch.setattr(ModulePresentation, "element", counted_element)
+    monkeypatch.setattr(TermElement, "__add__", counted_add)
+    monkeypatch.setattr(RingElement, "__mul__", counted_mul)
+    monkeypatch.setattr(ModulePresentation, "_gather", counted_gather)
     for gmap, args in cases:
-        calls.clear()
-        gmap.apply(*args)
-        assert len(calls) == 1
-        calls.clear()
-        assert check_well_defined(gmap) is None
-        assert len(calls) == len(gmap.source.relations()) > 0
+        image_parts.clear()
+        image_parts.update(id(part) for img in gmap.images.values() for part in (img.f, img.g))
+        for run in (lambda: gmap.apply(*args), lambda: check_well_defined(gmap)):
+            for seen in (elements, sums, products, gathered):
+                seen.clear()
+            run()
+            assert products
+            assert sorted(map(id, gathered)) == sorted(id(out.terms) for out in products)
+            assert len({id(terms) for terms in gathered}) == len(gathered)
+            assert elements == [] and sums == []
+
+
+# -- _combine against the old sum-then-element reference -----------------
+
+
+def _reference_combine(target, pairs):
+    """The former _combine: ring sums of c * image parts, then one element call."""
+    f = g = target.ring.zero()
+    for c, img in pairs:
+        if not (c.is_zero or img.f.is_zero):
+            f = f + c * img.f
+        if not (c.is_zero or img.g.is_zero):
+            g = g + c * img.g
+    return target.element(f, g)
+
+
+def _reference_apply(gmap: GeneratorMap, elements):
+    images = gmap.images
+    return _reference_combine(gmap.target, ((c, images[key])
+                                            for key, c in gmap.source.coefficients(*elements)))
+
+
+def _reference_check(gmap: GeneratorMap):
+    """First (description, defect) of the former check_well_defined, or None."""
+    for description, rel in gmap.source.relations():
+        defect = _reference_combine(gmap.target, ((coeff, gmap.images[key]) for coeff, key in rel))
+        if not defect.is_zero:
+            return description, defect
+    return None
+
+
+def _same_terms(got: ModuleElement, expected: ModuleElement) -> bool:
+    return (got.presentation is expected.presentation and got.f.terms == expected.f.terms
+            and got.g.terms == expected.g.terms)
+
+
+def _random_argument(rng: random.Random, pres):
+    """Zero, on one generator, or a multi-term element on both."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return pres.zero()
+    elem = random_element(rng, pres)
+    if kind == 1:
+        return ModuleElement(pres, elem.f, pres.ring.zero())
+    if kind == 2 and not pres.is_free:
+        return ModuleElement(pres, pres.ring.zero(), elem.g)
+    return elem
+
+
+def _random_module(rng: random.Random, r: NodeRing):
+    k = rng.randrange(r.l)
+    return make_module(r, k, r.l - k if k else 0)
+
+
+def _random_maps_and_arguments(rng: random.Random, p: int):
+    """Product, Sym^m (m <= 4) and linear maps over l <= 5, with their arguments.
+
+    Some images are shifted by a random element, so that some maps break a
+    relation; linear images are random, onto free and standard targets.
+    """
+    r = ring(rng.randrange(1, 6), p)
+    a = _random_module(rng, r)
+    kind = rng.randrange(3)
+    if kind == 0:
+        gmap = product_map(a, _random_module(rng, r))
+        modules = (gmap.source.left, gmap.source.right)
+    elif kind == 1:
+        gmap = sym_power_map(a, rng.randrange(1, 5))
+        modules = (a,) * gmap.source.power
+    else:
+        target = _random_module(rng, r)
+        gmap = GeneratorMap(LinearSource(a), target,
+                            {k: random_element(rng, target) for k in a.generator_keys})
+        modules = (a,)
+    if kind < 2 and rng.randrange(2):
+        images = dict(gmap.images)
+        key = rng.choice(sorted(images))
+        images[key] = images[key] + random_element(rng, gmap.target)
+        gmap = GeneratorMap(gmap.source, gmap.target, images)
+    return gmap, [_random_argument(rng, m) for m in modules]
+
+
+@pytest.mark.parametrize("p", [5, 97])
+def test_apply_and_check_well_defined_match_the_sum_then_element_reference(p):
+    rng = random.Random(2800 + p)
+    violations = zeros = 0
+    for _ in range(300):
+        gmap, args = _random_maps_and_arguments(rng, p)
+        got, expected = gmap.apply(*args), _reference_apply(gmap, args)
+        assert _same_terms(got, expected), (gmap, args)
+        assert 0 not in got.f.terms.values() and 0 not in got.g.terms.values()
+        zeros += got.is_zero
+        violation, reference = check_well_defined(gmap), _reference_check(gmap)
+        if reference is None:
+            assert violation is None
+        else:
+            violations += 1
+            assert violation.description == reference[0]
+            assert _same_terms(violation.defect, reference[1])
+    assert violations and zeros  # both branches were reached
+
+
+def test_apply_cancels_mod_p_to_the_zero_normal_form():
+    # at p = 5, t * (2u) + t * (3u) = 5tu = 0, and t * u + (-t) * u = 0 at any p
+    for p, (c1, c2), (k1, k2) in ((5, (1, 1), (2, 3)), (97, (1, -1), (1, 1))):
+        r2 = ring(2, p)
+        m11 = make_module(r2, 1, 1)
+        u = random_element(random.Random(p), m11)
+        gmap = GeneratorMap(LinearSource(m11), m11, {1: k1 * u, 2: k2 * u})
+        arg = m11.element(c1 * r2.t(), c2 * r2.t())
+        got = gmap.apply(arg)
+        assert got.f.terms == {} and got.g.terms == {}
+        assert _same_terms(got, _reference_apply(gmap, [arg]))
 
 
 # -- the sparse Sym^m recurrence ----------------------------------------

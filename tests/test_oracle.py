@@ -148,6 +148,28 @@ def test_oracle_matches_sym_powers():
         assert oracle_sym_power_images(m12, m, gm.target) == gm.images
 
 
+def test_oracle_sym_powers_match_binary_powers_of_the_lifts():
+    # the oracle builds lift^0..m of each generator once; its images must be
+    # those of lift1 ** (m - k) * lift2 ** k, each power taken on its own
+    for l, p in ((1, 97), (2, 5), (3, 97), (4, 5), (5, 97)):
+        ring = NodeRing(FieldConfig(p, 1), l)
+        c = chart(l, p=p)
+        for pres in [make_module(ring, 0, 0)] + [make_module(ring, i, l - i) for i in range(1, l)]:
+            s = symbol_exponent(c, pres)
+            lift1 = lift_element(c, pres.generator(1), s)
+            lift2 = None if pres.is_free else lift_element(c, pres.generator(2), s)
+            for m in range(1, 13):
+                target = pres.grade(m)
+                if pres.is_free:
+                    expected = {0: lower_element(c, lift1 ** m, target, m * s)}
+                else:
+                    expected = {k: lower_element(c, lift1 ** (m - k) * lift2 ** k, target, m * s)
+                                for k in range(m + 1)}
+                got = oracle_sym_power_images(pres, m, target)
+                assert got == expected, (pres, m)
+                assert got == sym_power_map(pres, m).images
+
+
 def test_oracle_nontrivial_character():
     # same products recomputed on a chart with b = 3 instead of 1
     r4 = NodeRing(FieldConfig(97, 1), 4)
