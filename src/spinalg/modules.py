@@ -280,8 +280,10 @@ class SymPowerSource(Record):
     e1^(n-k) e2^k after n arguments.  Only the nonzero c_k are kept, so
     each argument costs one ring product per live coefficient and part:
     m products when every argument lies on one generator, O(m^2) when
-    arguments lie on both.  Relations are each module relation times
-    every degree-(m-1) generator monomial.
+    arguments lie on both.  A product by 1 returns the other operand and
+    builds nothing: so do the first argument's products (by c_0 = 1), and
+    all of them when every argument is a generator.  Relations are each
+    module relation times every degree-(m-1) generator monomial.
     """
 
     __slots__ = _fields = ("module", "power")

@@ -15,7 +15,8 @@ arithmetic over F_p.  NodeRing (x*y -> t^l), LaurentRing (x or y inverted,
 no fold) and the covering chart of oracle.py (z*w -> t, its own fold)
 supply only their monomial fold, variable names and print order.  The
 rings are interned (_record.Interned), so elements share a ring exactly
-when their `ring` is the same object.
+when their `ring` is the same object.  A product by 1 returns the other
+operand itself, not a copy, so elements must never be altered in place.
 """
 from __future__ import annotations
 
@@ -63,7 +64,12 @@ class TermRing:
 
 
 class TermElement:
-    """Normal-form element of a TermRing.  Treat as immutable."""
+    """Normal-form element of a TermRing.  Treat as immutable.
+
+    A product by the unit (the one term at ring._unit with coefficient
+    1, or the int 1) returns the other operand itself, so a product may
+    share its term dict with an operand.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -128,12 +134,18 @@ class TermElement:
             if other is None:
                 return NotImplemented
         ring = self.ring
+        # a product by 1 is the other operand itself (elements are immutable)
+        unit, a, b = ring._unit, self.terms, other.terms
+        if len(b) == 1 and b.get(unit) == 1:
+            return self
+        if len(a) == 1 and a.get(unit) == 1:
+            return other
         p = ring.field.p
         mul_keys = ring._mul_keys
         terms = {}
         get = terms.get
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 key = mul_keys(k1, k2)
                 c = (get(key, 0) + c1 * c2) % p
                 if c:
@@ -145,7 +157,7 @@ class TermElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = self.ring.one()
         base = self

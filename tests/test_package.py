@@ -77,6 +77,28 @@ def test_interned_records_are_compared_by_identity():
     assert offenders == []
 
 
+def test_no_source_writes_into_element_terms():
+    """No statement stores into, deletes from or calls a mutating dict method on an
+    attribute named `terms`: a product by 1 returns an operand itself
+    (spinalg.ring.TermElement.__mul__), so an element's term dict may be shared."""
+    mutators = {"pop", "update", "clear", "setdefault", "popitem"}
+    offenders = []
+    for path in sorted((SRC / "spinalg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                written = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in mutators:
+                written = node.func.value
+            elif isinstance(node, ast.AugAssign):  # dict |= updates in place
+                written = node.target
+            else:
+                continue
+            if isinstance(written, ast.Attribute) and written.attr == "terms":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_sources_parse_as_python_3_10():
     """pyproject.toml promises Python >= 3.10; every module parses with that grammar."""
     sources = sorted((SRC / "spinalg").glob("*.py"))

@@ -173,3 +173,99 @@ def test_operands_from_equal_rings_ints_and_foreign_rings():
                 op(x, other)
             with pytest.raises(ValueError, match="elements live in different rings"):
                 op(other, x)
+
+
+# -- products by the unit ------------------------------------------------------
+
+# one ring of each term-arithmetic kind, and a rule drawing its exponent keys
+KINDS = {
+    "node": (lambda p, l: NodeRing(FieldConfig(p, 1), l),
+             st.tuples(exps, exps, exps)),
+    "laurent": (lambda p, l: LaurentRing(FieldConfig(p, 1), "x" if l % 2 else "y"),
+                st.tuples(st.integers(min_value=-4, max_value=4), exps)),
+    "chart": (lambda p, l: SpinChart(FieldConfig(p, 1), l, 1),
+              st.tuples(exps, exps, exps, st.integers(min_value=-3, max_value=3))),
+}
+
+
+def _reference_mul(a, b):
+    """The term loop of TermElement.__mul__ run on every pair, without the unit rule."""
+    ring = a.ring
+    p = ring.field.p
+    terms = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            key = ring._mul_keys(k1, k2)
+            c = (terms.get(key, 0) + c1 * c2) % p
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+    return terms
+
+
+def _sample(kind: str, p: int = 97, l: int = 3):
+    """A ring of the kind and three elements other than 1: zero, 5, and 2 + 3 * (first variable)."""
+    r = KINDS[kind][0](p, l)
+    var = (1,) + r._unit[1:]
+    return r, [r.zero(), r.const(5), r.from_terms([(r._unit, 2), (var, 3)])]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_product_by_one_returns_the_other_operand(kind):
+    r, elements = _sample(kind)
+    one = r.one()
+    for e in elements:
+        assert one * e is e and e * one is e
+        assert e * 1 is e and 1 * e is e
+        assert r.const(98) * e is e  # 98 = 1 mod 97
+    x = elements[-1]
+    assert (x * r.const(-1)).terms == {k: 97 - c for k, c in x.terms.items()}
+    assert x ** 1 is x and (x ** 0).terms == one.terms
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_unit_of_another_ring_still_raises(kind):
+    make = KINDS[kind][0]
+    r, elements = _sample(kind)
+    others = [make(5, 3).one(), make(97, 4).one()]  # another p; another l (Laurent: variable)
+    for other in others:
+        assert other.ring is not r
+        for e in elements:
+            for a, b in ((e, other), (other, e)):
+                with pytest.raises(ValueError, match="^elements live in different rings$"):
+                    a * b
+
+
+@st.composite
+def ring_and_pair(draw):
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    make, keys = KINDS[kind]
+    p = draw(st.sampled_from([2, 3, 5, 97]))
+    r = make(p, draw(st.integers(min_value=1, max_value=4)))
+    special = st.sampled_from([r.zero(), r.one(), r.const(p + 1), r.const(p - 1)])
+    drawn = st.lists(st.tuples(keys, coeffs), max_size=4).map(r.from_terms)
+    return r, draw(st.one_of(special, drawn)), draw(st.one_of(special, drawn))
+
+
+@given(ring_and_pair())
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_the_term_loop(data):
+    r, a, b = data
+    for lhs, rhs in ((a, b), (b, a)):
+        out = lhs * rhs
+        assert type(out) is r._element and out.ring is r
+        assert out.terms == _reference_mul(lhs, rhs)
+        if rhs.terms == {r._unit: 1}:
+            assert out is lhs
+        elif lhs.terms == {r._unit: 1}:
+            assert out is rhs
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, 1.0, -1, "2", None])
+def test_power_refuses_a_non_int_exponent(n):
+    x = ring(2).x()
+    with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+        x ** n
+    with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+        SpinChart(FieldConfig(97, 1), 2, 1).monomial(z=1) ** n
