@@ -24,9 +24,18 @@ check_well_defined pushes every relation through the images and reports
 the first nonzero defect, without either knowing the source kind.  Both
 go through _combine, which gathers the terms of each ring product
 c * (image part) into the result as the product is formed: no
-intermediate ring sum is built and no term is rewritten twice.
+intermediate ring sum is built and no term is rewritten twice.  A lone
+unit coefficient needs no sum at all: _combine returns that key's image
+itself.
+
+Modules are interned and live for the whole process, so each builds its
+generator keys and generator elements once and hands out those same
+objects on every call.  Generators, images, ring units and zeros are all
+shared, so an element must never be altered in place.
 """
 from __future__ import annotations
+
+from functools import cache
 
 from . import _linalg
 from ._record import Interned, Record
@@ -51,6 +60,7 @@ class ModulePresentation(Interned):
         return self.i == 0 and self.j == 0
 
     @property
+    @cache  # modules are interned and never freed: one tuple per module
     def generator_keys(self) -> tuple[int, ...]:
         return (1,) if self.is_free else (1, 2)
 
@@ -107,10 +117,16 @@ class ModulePresentation(Interned):
                 del part[key]
 
     def generator(self, key: int) -> ModuleElement:
+        """Generator e1 or e2, the same object on every call."""
         if key not in self.generator_keys:
             raise ValueError(f"no generator {key} on {self}")
+        return self._generators()[key]
+
+    @cache
+    def _generators(self) -> dict[int, ModuleElement]:
         one, zero = self.ring.one(), self.ring.zero()  # e1 and e2 are already normal forms
-        return ModuleElement(self, one, zero) if key == 1 else ModuleElement(self, zero, one)
+        e1 = ModuleElement(self, one, zero)
+        return {1: e1} if self.is_free else {1: e1, 2: ModuleElement(self, zero, one)}
 
     def relations(self) -> tuple[tuple[tuple[RingElement, int], ...], ...]:
         """Presentation relations as linear combinations of generators.
@@ -213,8 +229,9 @@ class ModuleElement:
 # -- maps given by generator images ------------------------------------
 
 
-# Source kinds: coefficients(*elements) gives (key, coefficient) pairs and
-# relations() gives (description, ((coefficient, key), ...)) pairs.
+# Source kinds: coefficients(*elements) gives a list or tuple of (key,
+# coefficient) pairs (_combine reads its length) and relations() gives
+# (description, ((coefficient, key), ...)) pairs.
 
 
 class LinearSource(Record):
@@ -257,10 +274,9 @@ class TensorSource(Record):
         if a.presentation is not self.left or b.presentation is not self.right:
             raise ValueError("arguments live off the source modules")
         # only nonzero factors are multiplied
-        for ka, ca in zip(self.left.generator_keys, (a.f, a.g)):
-            for kb, cb in zip(self.right.generator_keys, (b.f, b.g)):
-                if not (ca.is_zero or cb.is_zero):
-                    yield (ka, kb), ca * cb
+        return [((ka, kb), ca * cb)
+                for ka, ca in zip(self.left.generator_keys, (a.f, a.g)) if not ca.is_zero
+                for kb, cb in zip(self.right.generator_keys, (b.f, b.g)) if not cb.is_zero]
 
     def relations(self):
         left = tuple((f"left relation {ridx} x gen {kb}", tuple((c, (k, kb)) for c, k in rel))
@@ -318,7 +334,7 @@ class SymPowerSource(Record):
                     if not c.is_zero:
                         nxt[k + 1] = c
             coeffs = nxt
-        return coeffs.items()
+        return list(coeffs.items())
 
     def relations(self):
         # generator key 1 or 2 of the relation adds 0 or 1 e2 factor to e1^(m-1-k2) e2^k2
@@ -354,7 +370,10 @@ class GeneratorMap:
 
         Linear: one argument.  Tensor: (left, right).  Symmetric power m:
         m arguments, in any order since the images are symmetric.  Each
-        coefficient * image product is gathered into the result by _combine.
+        coefficient * image product is gathered into the result by _combine;
+        when the arguments give one key with coefficient 1 (generators, for
+        a tensor or Sym^m source), the result is that key's image itself,
+        shared with self.images.
         """
         return _combine(self.target, self.source.coefficients(*elements), self.images)
 
@@ -362,13 +381,22 @@ class GeneratorMap:
         return f"GeneratorMap({self.source!r} -> {self.target!r})"
 
 
-def _combine(target: ModulePresentation, pairs, images: dict) -> ModuleElement:
+def _combine(target: ModulePresentation, pairs: list, images: dict) -> ModuleElement:
     """Sum of c * images[key] over the (key, c) pairs, as a normal form.
 
-    Each ring product c * (image part) is gathered into the two term dicts
-    as it is formed (target._gather), so no ring sum is built.  Zero
-    coefficients and zero image parts add no products.
+    One pair whose c is the unit of the target's ring gives images[key]
+    itself: no product, no gather, no new element.  A unit of another
+    ring takes the loop, whose product c * (image part) refuses it.
+    Otherwise each ring product c * (image part) is gathered into the two
+    term dicts as it is formed (target._gather), so no ring sum is built.
+    Zero coefficients and zero image parts add no products.
     """
+    ring = target.ring
+    if len(pairs) == 1:
+        ((key, c),) = pairs
+        terms = c.terms
+        if len(terms) == 1 and terms.get(ring._unit) == 1 and c.ring is ring:
+            return images[key]
     gather = target._gather
     f, g = {}, {}
     for key, c in pairs:
@@ -379,7 +407,6 @@ def _combine(target: ModulePresentation, pairs, images: dict) -> ModuleElement:
             gather(f, g, (c * img.f).terms, False)
         if not img.g.is_zero:
             gather(f, g, (c * img.g).terms, True)
-    ring = target.ring
     return ModuleElement(target, RingElement(ring, f), RingElement(ring, g))
 
 
@@ -406,7 +433,7 @@ def check_well_defined(gmap: GeneratorMap) -> RelationViolation | None:
     """
     target, images = gmap.target, gmap.images
     for description, rel in gmap.source.relations():
-        defect = _combine(target, ((key, coeff) for coeff, key in rel), images)
+        defect = _combine(target, [(key, coeff) for coeff, key in rel], images)
         if not defect.is_zero:
             return RelationViolation(description, defect)
     return None

@@ -15,11 +15,15 @@ arithmetic over F_p.  NodeRing (x*y -> t^l), LaurentRing (x or y inverted,
 no fold) and the covering chart of oracle.py (z*w -> t, its own fold)
 supply only their monomial fold, variable names and print order.  The
 rings are interned (_record.Interned), so elements share a ring exactly
-when their `ring` is the same object.  A product by 1 returns the other
-operand itself, not a copy, so elements must never be altered in place.
+when their `ring` is the same object, and a ring lives for the whole
+process.  So one() and zero() build their element once per ring and
+return that same object on every call, and a product by 1 returns the
+other operand itself, not a copy: elements are shared and must never be
+altered in place.
 """
 from __future__ import annotations
 
+from functools import cache
 from operator import itemgetter
 
 from ._record import Interned
@@ -52,6 +56,7 @@ class TermRing:
                 terms.pop(key, None)
         return self._element(self, terms)
 
+    @cache  # rings are interned and never freed, so one shared zero per ring
     def zero(self):
         return self._element(self, {})
 
@@ -59,6 +64,7 @@ class TermRing:
         c %= self.field.p
         return self._element(self, {self._unit: c} if c else {})
 
+    @cache  # one shared unit per ring, like zero()
     def one(self):
         return self.const(1)
 

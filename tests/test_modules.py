@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from spinalg.modules import (
     make_module,
     monomial_basis,
 )
+from spinalg.oracle import SpinChart
 from spinalg.products import power_map, product_map, sym_power_map
 from spinalg.ring import NodeRing, RingElement, TermElement
 
@@ -644,3 +646,131 @@ def test_coefficients_and_factors_over_another_ring_are_refused():
             pres.element(0, other.y())
     with pytest.raises(ValueError, match="factors live over different node rings"):
         product_map(pres, make_module(ring(4, p=5), 1, 3))
+
+
+def test_linear_and_tensor_apply_reject_a_target_over_another_ring():
+    # a lone unit coefficient over the source's ring must not pass the image through
+    source, other = make_module(ring(2), 0, 0), make_module(ring(2), 1, 1)
+    target = make_module(ring(3), 1, 2)
+    linear = GeneratorMap(LinearSource(source), target, {1: target.generator(1)})
+    with pytest.raises(ValueError, match="elements live in different rings"):
+        linear.apply(source.generator(1))
+    tensor = GeneratorMap(TensorSource(source, other), target,
+                          {(1, k): target.generator(k) for k in (1, 2)})
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="elements live in different rings"):
+            tensor.apply(source.generator(1), other.generator(k))
+
+
+# -- shared constants and the lone-unit pass-through ---------------------
+
+
+def test_units_zeros_and_generators_are_built_once():
+    for l in (1, 3, 4):
+        r = ring(l)
+        for rr in (r, SpinChart(r.field, l, 1)):
+            assert rr.one() is rr.one() and rr.zero() is rr.zero()
+            assert rr.one() == 1 and rr.zero() == 0
+        for k in range(l):
+            pres = _module(97, l, k)
+            assert pres.generator_keys is pres.generator_keys
+            for key in pres.generator_keys:
+                assert pres.generator(key) is pres.generator(key)
+            gens = [pres.generator(key) for key in pres.generator_keys]
+            assert gens == [pres.element(1, 0), pres.element(0, 1)][:len(gens)]
+            for bad in (3, (1,), "1", [1]):
+                with pytest.raises(ValueError, match=re.escape(f"no generator {bad} on {pres!r}")):
+                    pres.generator(bad)
+
+
+def test_apply_on_generators_returns_the_image_itself():
+    r4 = ring(4)
+    free = make_module(r4, 0, 0)
+    for a in (free, make_module(r4, 1, 3), make_module(r4, 2, 2)):
+        gmap = product_map(a, free)
+        for key in a.generator_keys:
+            assert gmap.apply(a.generator(key), free.generator(1)) is gmap.images[(key, 1)]
+        sym = sym_power_map(a, 3)
+        for key in sym.source.keys:
+            args = [a.generator(1 + (n < key)) for n in range(3)]
+            assert sym.apply(*args) is sym.images[key]
+    # a unit built apart is still the unit; a coefficient other than 1 builds a new element
+    m13 = make_module(r4, 1, 3)
+    gmap = product_map(m13, free)
+    assert gmap.apply(m13.element(r4.const(1), 0), free.element(1)) is gmap.images[(1, 1)]
+    doubled = gmap.apply(m13.element(2, 0), free.generator(1))
+    assert doubled is not gmap.images[(1, 1)] and doubled == 2 * gmap.images[(1, 1)]
+
+
+def expanded_tensor_apply(gmap: GeneratorMap, elements):
+    """Reference tensor apply: the four products of factor coefficients, each times its image."""
+    a, b = elements
+    out = gmap.target.zero()
+    for ka, ca in ((1, a.f), (2, a.g)):
+        for kb, cb in ((1, b.f), (2, b.g)):
+            coeff = ca * cb
+            if not coeff.is_zero:
+                out = out + coeff * gmap.images[(ka, kb)]
+    return out
+
+
+def expanded_apply(gmap: GeneratorMap, elements):
+    """Term-by-term reference apply for linear, tensor and Sym^m maps."""
+    source = gmap.source
+    if isinstance(source, SymPowerSource):
+        return expanded_sym_apply(gmap, elements)
+    if isinstance(source, TensorSource):
+        return expanded_tensor_apply(gmap, elements)
+    (m,) = elements
+    out = gmap.target.zero()
+    for key, coeff in ((1, m.f), (2, m.g)):
+        if not coeff.is_zero:
+            out = out + coeff * gmap.images[key]
+    return out
+
+
+def _draw_argument(draw, pres):
+    """Zero, a generator, the unit on both generators, or random parts with some units."""
+    r = pres.ring
+    kind = draw(st.sampled_from(["zero", "e1", "e2", "units", "unit+random", "random"]))
+    if kind == "zero":
+        return pres.zero()
+    if kind in ("e1", "e2"):
+        return pres.generator(1 if kind == "e1" or pres.is_free else 2)
+    if kind == "units":
+        return pres.element(1, 1)
+    c1, c2 = _coeff(r, draw(raw_terms)), _coeff(r, draw(raw_terms))
+    if kind == "unit+random":
+        c1, c2 = draw(st.sampled_from([(r.one(), c2), (c1, r.one())]))
+    return pres.element(c1, c2)
+
+
+@st.composite
+def all_maps_and_arguments(draw):
+    """A linear, product or Sym^m map (l <= 5, m <= 4) over free and standard modules."""
+    p = draw(st.sampled_from([5, 97]))
+    l = draw(st.integers(1, 5))
+    a = _module(p, l, draw(st.integers(0, 4)))
+    kind = draw(st.sampled_from(["linear", "tensor", "sym"]))
+    if kind == "linear":
+        target = _module(p, l, draw(st.integers(0, 4)))
+        images = {k: _draw_argument(draw, target) for k in a.generator_keys}
+        return GeneratorMap(LinearSource(a), target, images), [_draw_argument(draw, a)]
+    if kind == "tensor":
+        gmap = product_map(a, _module(p, l, draw(st.integers(0, 4))))
+        modules = (gmap.source.left, gmap.source.right)
+    else:
+        gmap = sym_power_map(a, draw(st.integers(1, 4)))
+        modules = (a,) * gmap.source.power
+    return gmap, [_draw_argument(draw, m) for m in modules]
+
+
+@given(all_maps_and_arguments())
+@settings(max_examples=300, deadline=None)
+def test_apply_matches_the_term_by_term_expansion(case):
+    gmap, elements = case
+    got = gmap.apply(*elements)
+    assert _same_terms(got, expanded_apply(gmap, elements))
+    pairs = gmap.source.coefficients(*elements)
+    if len(pairs) == 1 and pairs[0][1] == 1:
+        assert got is gmap.images[pairs[0][0]]

@@ -105,3 +105,36 @@ def test_sources_parse_as_python_3_10():
     assert sources
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_no_source_assigns_element_fields():
+    """Only ModuleElement.__init__ and TermElement.__init__ store or delete an attribute
+    named `f`, `g` or `terms`, directly or through setattr: units, zeros, generators and
+    map images are shared objects (one() and zero() are built once per ring, generator(k)
+    once per module, and GeneratorMap.apply may return an image itself), so such a store
+    anywhere else would change the value for every holder."""
+    fields = {"f", "g", "terms"}
+    allowed_owners = {"ModuleElement", "TermElement"}
+    offenders = []
+    for path in sorted((SRC / "spinalg").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name in allowed_owners
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                name = node.attr
+            elif isinstance(node, ast.Call) and len(node.args) >= 2 \
+                    and isinstance(node.args[1], ast.Constant) and (
+                        (isinstance(node.func, ast.Name) and node.func.id in ("setattr", "delattr"))
+                        or (isinstance(node.func, ast.Attribute)
+                            and node.func.attr in ("__setattr__", "__delattr__"))):
+                name = node.args[1].value
+            else:
+                continue
+            if name in fields:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
