@@ -16,6 +16,7 @@ import sys
 from contextlib import contextmanager
 from functools import cache
 from math import isqrt
+from operator import itemgetter
 
 from .dualgraph import (
     DualGraph,
@@ -147,6 +148,19 @@ def parse_graph_document(doc: dict) -> tuple[DualGraph, int, tuple[int, ...], in
     return graph, r, m, prime
 
 
+class _EdgeCells(dict):
+    """One edge's listing cells by head twist k, each formatted on its first lookup."""
+
+    __slots__ = ("ends", "label", "r")
+
+    def __init__(self, ends: str, label, r: int):
+        self.ends, self.label, self.r = ends, label, r
+
+    def __missing__(self, k: int) -> str:  # the head carries k, the tail -k
+        text = self[k] = f"{self.ends}{self.label(k)}|{self.label(-k % self.r)}"
+        return text
+
+
 def _cmd_strata(args) -> Report:
     with open(args.graph, "r", encoding="utf-8") as fh, _nesting_limit("graph JSON"):
         doc = json.load(fh)
@@ -167,16 +181,17 @@ def _cmd_strata(args) -> Report:
     def label(k: int) -> str:
         return str(index_from_twist(k, r))
 
-    @cache  # each (edge, head twist) cell once per report; the tail carries -k
-    def cell(e: int, k: int) -> str:
-        a, b = graph.edges[e]
-        return f"({a},{b}):{label(k)}|{label(-k % r)}"
-
     # the legs are pinned by the type: every assignment has the same leg twists
     legs = " ".join(label(mi % r) for mi in m) if assignments else ""
-    edge_ids = range(len(graph.edges))
-    for idx, heads in enumerate(assignments, start=1):
-        edges = " ".join(map(cell, edge_ids, heads))  # the cache is called from C
+    # One edge column at a time: the column's cells are looked up from C, each cell is
+    # formatted on its first lookup, and each row is joined from its columns' cells.
+    # Every column reads its twists lazily from the row tuples: no transposed copy.
+    columns = [map(_EdgeCells(f"({a},{b}):", label, r).__getitem__,
+                   map(itemgetter(e), assignments))
+               for e, (a, b) in enumerate(graph.edges)]
+    # zip() over no columns yields nothing, but an edgeless graph still lists its row
+    rows = map(" ".join, zip(*columns)) if columns else [""] * len(assignments)
+    for idx, edges in enumerate(rows, start=1):  # appended one by one: no second list
         lines.append(f"  {idx}. legs [{legs}] edges [{edges}]")
     return 0, lines
 

@@ -11,6 +11,8 @@ from math import gcd
 
 from ._record import Record
 
+_set = object.__setattr__
+
 
 class TwistData(Record):
     """Node twist k at level r with its local exponents (l, a, b), checked to be those derived from (k, r)."""
@@ -18,17 +20,20 @@ class TwistData(Record):
     __slots__ = _fields = ("k", "r", "l", "a", "b")
 
     def __init__(self, k: int, r: int, l: int, a: int, b: int):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self._fill(k, r, l, a, b)
         if not (type(k) is type(r) is type(l) is type(a) is type(b) is int):  # refuses bool and float too
             raise ValueError(f"twist fields must be integers; got {self!r}")
         if not (0 <= k < r):
             raise ValueError(f"twist must satisfy 0 <= k < r; got k={k}, r={r}")
         if (l, a, b) != _exponents(k, r):
             raise ValueError(f"(l, a, b) = ({l}, {a}, {b}) is not derived from k={k}, r={r}")
+
+    def _fill(self, k: int, r: int, l: int, a: int, b: int) -> None:
+        _set(self, "k", k)
+        _set(self, "r", r)
+        _set(self, "l", l)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def __str__(self):
         return f"{self.k}({self.l},{self.a},{self.b})"
@@ -44,7 +49,9 @@ def index_from_twist(k: int, r: int) -> TwistData:
         raise ValueError("level r must be a positive integer")
     if type(k) is not int or not (0 <= k < r):
         raise ValueError(f"twist must be an integer with 0 <= k < r; got k={k!r}")
-    return TwistData(k, r, *_exponents(k, r))
+    d = object.__new__(TwistData)  # (l, a, b) are derived here once; __init__ would derive them again
+    d._fill(k, r, *_exponents(k, r))
+    return d
 
 
 def _exponents(k: int, r: int) -> tuple[int, int, int]:

@@ -6,6 +6,8 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
+from functools import cache
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import spinalg.cli
 from spinalg.cli import build_parser, main, parse_graph_document
-from spinalg.dualgraph import DualGraph
+from spinalg.dualgraph import DualGraph, enumerate_assignments
 from spinalg.twists import index_from_twist
 
 LOOP_DOC = {
@@ -638,3 +640,127 @@ def test_main_is_the_only_stdout_writer():
                               for kw in node.keywords))
     assert writes == [True]
     assert prints and all(prints)
+
+
+# The listing is formatted edge column by edge column.  The reference below is the
+# per-cell rule it replaces: each row joins one "(a,b):label(k)|label(-k)" cell per edge,
+# over enumerate_assignments, with every label from index_from_twist.
+
+
+def _reference_listing(doc, assignments=None):
+    """The listing lines of a graph document by the per-cell rule, over the given
+    assignments or else over enumerate_assignments."""
+    graph, r, m, _ = parse_graph_document(doc)
+    if assignments is None:
+        assignments = enumerate_assignments(graph, r, m)
+    label = cache(lambda k: str(index_from_twist(k, r)))
+    legs = " ".join(label(mi % r) for mi in m)
+    return [f"  {idx}. legs [{legs}] edges ["
+            + " ".join(f"({a},{b}):{label(k)}|{label(-k % r)}"
+                       for (a, b), k in zip(graph.edges, heads)) + "]"
+            for idx, heads in enumerate(assignments, start=1)]
+
+
+def _strata_report(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["strata", str(path)])
+    assert (code, err.getvalue()) == (0, "")
+    return out.getvalue()
+
+
+def _listing_lines(report):
+    """The lines after the report's "assignments: N" line, with N checked against them."""
+    lines = report.splitlines()
+    at = next(n for n, line in enumerate(lines) if line.startswith("assignments: "))
+    assert int(lines[at].removeprefix("assignments: ")) == len(lines) - at - 1
+    return lines[at + 1:]
+
+
+@st.composite
+def _stable_documents(draw):
+    """Connected stable graph documents: a spanning tree on 1-4 vertices, then up to four
+    more edges (loops, repeated and reversed edges, overlapping cycles), 0-3 legs, any
+    type entries and r from 1 to 4, so at most 4^4 rows."""
+    ids = [f"v{k}" for k in range(draw(st.integers(1, 4)))]
+    edges = [[ids[draw(st.integers(0, k - 1))], ids[k]] for k in range(1, len(ids))]
+    edges += draw(st.lists(st.lists(st.sampled_from(ids), min_size=2, max_size=2),
+                           max_size=4))
+    edges = [edge[::-1] if draw(st.booleans()) else edge for edge in draw(st.permutations(edges))]
+    legs = [{"vertex": draw(st.sampled_from(ids)), "marking": k + 1}
+            for k in range(draw(st.integers(0, 3)))]
+    vertices = []
+    for v in ids:
+        valence = sum(edge.count(v) for edge in edges) + sum(leg["vertex"] == v for leg in legs)
+        lowest = max(0, (4 - valence) // 2)  # least genus with 2g - 2 + valence > 0
+        vertices.append({"id": v, "genus": lowest + draw(st.integers(0, 1))})
+    return {"r": draw(st.integers(1, 4)),
+            "m": draw(st.lists(st.integers(-9, 9), min_size=len(legs), max_size=len(legs))),
+            "vertices": vertices, "edges": edges, "legs": legs}
+
+
+EDGELESS_DOC = {"r": 1, "m": [], "vertices": [{"id": "v0", "genus": 2}], "edges": [], "legs": []}
+
+
+@given(_stable_documents())
+@example(EDGELESS_DOC)
+@example(LOOP_DOC)
+@example(MULTI_LEG_DOC)
+@example(TWO_CYCLES_DOC)
+@example(dict(TWO_CYCLES_DOC, r=1, m=[0]))
+@settings(max_examples=200, deadline=None)
+def test_listing_matches_the_per_cell_rule(doc):
+    assert _listing_lines(_strata_report(doc)) == _reference_listing(doc)
+
+
+def test_an_edgeless_graph_lists_its_one_row():
+    listing = _listing_lines(_strata_report(EDGELESS_DOC))
+    assert listing == ["  1. legs [] edges []"]
+    doc = dict(EDGELESS_DOC, r=5, m=[3], legs=[{"vertex": "v0", "marking": 1}])
+    assert _listing_lines(_strata_report(doc)) == ["  1. legs [3(5,3,2)] edges []"]
+
+
+@pytest.mark.parametrize("doc", [LOOP_DOC, MULTI_LEG_DOC, TWO_CYCLES_DOC, EDGELESS_DOC,
+                                 dict(LOOP_DOC, m=[0])],
+                         ids=["loop", "multi-leg", "two-cycles", "edgeless", "no-rows"])
+def test_each_listed_twist_is_labelled_once(monkeypatch, doc):
+    calls = []
+
+    def counted(k, r):
+        calls.append(k)
+        return index_from_twist(k, r)
+
+    monkeypatch.setattr(spinalg.cli, "index_from_twist", counted)
+    listed = {int(k) for k in re.findall(r"(\d+)\(\d+,\d+,\d+\)",
+                                         "\n".join(_listing_lines(_strata_report(doc))))}
+    assert sorted(calls) == sorted(listed)
+
+
+def test_listing_memory_matches_the_per_cell_rule(tmp_path, monkeypatch):
+    """40,000 rows: formatting holds no more than the rows it returns, within 5%."""
+    doc = {"r": 200, "m": [3], "vertices": [{"id": "v0", "genus": 0}],  # two loops: r^2 rows
+           "edges": [["v0", "v0"], ["v0", "v0"]], "legs": [{"vertex": "v0", "marking": 1}]}
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps(doc))
+    graph, r, m, _ = parse_graph_document(doc)
+    listed = enumerate_assignments(graph, r, m)
+    assert len(listed) == 40_000
+    # both sides format the same list of rows; neither pays for listing them
+    monkeypatch.setattr(spinalg.cli, "enumerate_assignments", lambda *_args: listed)
+    args = build_parser().parse_args(["strata", str(path)])
+
+    def peak(format_listing):
+        tracemalloc.start()
+        try:
+            lines = format_listing()
+            return tracemalloc.get_traced_memory()[1], lines
+        finally:
+            tracemalloc.stop()
+
+    reference_peak, reference = peak(lambda: _reference_listing(doc, listed))
+    listing_peak, (code, lines) = peak(lambda: spinalg.cli._cmd_strata(args))
+    assert (code, lines[-len(reference):]) == (0, reference)
+    assert listing_peak <= 1.05 * reference_peak, (listing_peak, reference_peak)
