@@ -4,7 +4,7 @@ An echelon basis maps each pivot column to its basis row, which is zero
 before that column and 1 at it.  extend_basis reduces one row against
 such a basis and adds what is left as a new pivot; row_reduce is its
 batch form, starting from an empty basis.  A caller that adds rows in
-stages (cokernel_length, slice by slice) keeps the basis it got from
+stages (resolution's exactness check) keeps the basis it got from
 row_reduce and eliminates each later row once.
 """
 from __future__ import annotations

@@ -35,6 +35,7 @@ shared, so an element must never be altered in place.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 
 from . import _linalg
@@ -471,10 +472,11 @@ def cokernel_length(gmap: GeneratorMap) -> int:
     <= m, the answer is the stable value of Q_m.  At t = 0 multiplying
     by x or y never lowers degree, so the shifts of the images by
     monomials of degree <= M span every image element of degree <= M,
-    making each Q_m exact.  _linalg.row_reduce puts the image rows into
-    an echelon basis once; each slice's coordinate rows are then reduced
-    against that same basis by _linalg.extend_basis, and Q_m counts the
-    pivots they add.
+    making each Q_m exact.  Columns run highest degree first, so each row
+    of the echelon basis from one _linalg.row_reduce is zero above its
+    pivot's degree, and a sum of basis rows is nonzero at its first pivot:
+    the image in degrees <= m is spanned by the basis rows with a pivot
+    there, and Q_m grows in degree m by the slice's size less its pivots.
     Stops after three consecutive zero increments, counted once
     m >= max(i, j, l); the top image degree only sets the search cap
     max(i, j, l, image degree) + 8, past which it raises RuntimeError.
@@ -498,10 +500,8 @@ def cokernel_length(gmap: GeneratorMap) -> int:
     floor = max(pres.i, pres.j, ring.l, img_degree)
     cap = floor + 8
 
-    basis: list[tuple[int, int]] = []
-    for d in range(cap + img_degree + 1):
-        basis.extend(monomial_basis(pres, d))
-    index = {key: n for n, key in enumerate(basis)}
+    basis = [key for d in range(cap + img_degree + 1) for key in monomial_basis(pres, d)]
+    index = {key: len(basis) - 1 - n for n, key in enumerate(basis)}  # highest degree first
 
     def shift_row(xs: dict, ys: dict, a: int) -> list[int]:
         vec = [0] * len(basis)
@@ -518,14 +518,11 @@ def cokernel_length(gmap: GeneratorMap) -> int:
     for a in range(1, cap + 1):
         image_rows.extend(shift_row(xs, ys, a) for xs, ys in x_parts + y_parts if xs or ys)
     _, pivots = _linalg.row_reduce(image_rows, p)
+    pivots_in_degree = Counter(basis[-1 - col][1] for col in pivots)
 
-    q = prev_q = 0
-    zeros = 0
+    q = prev_q = zeros = 0
     for m in range(cap + 1):
-        for key in monomial_basis(pres, m):
-            row = [0] * len(basis)
-            row[index[key]] = 1
-            q += _linalg.extend_basis(pivots, row, p)
+        q += len(monomial_basis(pres, m)) - pivots_in_degree[m]
         if m > 0 and q == prev_q and m >= max(pres.i, pres.j, ring.l):
             zeros += 1
             if zeros == 3:

@@ -3,7 +3,10 @@
 cokernel_length writes each image row at t = 0 as an exponent shift of the
 once-specialized image.  _reference_cokernel_length keeps the earlier
 build: each row is the generic-t module product mu * image for
-mu = 1, x, y, x^2, y^2, ..., specialized afterwards.  Both must hand
+mu = 1, x, y, x^2, y^2, ..., specialized afterwards.  It also keeps the
+earlier count: each degree's unit rows are reduced against the echelon
+basis by _linalg.extend_basis, where cokernel_length reads the count off
+the pivots.  Both number the columns highest degree first, must hand
 _linalg.row_reduce the same rows in the same order, and so agree on every
 length, finite or not.
 """
@@ -42,6 +45,9 @@ def _vectorize(elem, index: dict[tuple[int, int], int]) -> list[int]:
 def _reference_cokernel_length(gmap: GeneratorMap) -> int:
     """The multiplier loop: rows (mu * image).specialize(0), multiplier-major, zero rows skipped.
 
+    Q_m counts the pivots that the unit rows of degrees <= m add to the
+    echelon basis of those rows.
+
     It takes the map as well defined; cokernel_length checks that for both.
     """
     pres = gmap.target
@@ -51,7 +57,7 @@ def _reference_cokernel_length(gmap: GeneratorMap) -> int:
     img_degree = max((max(im.f.xy_degree(), im.g.xy_degree()) for im in images), default=0)
     cap = max(pres.i, pres.j, ring.l, img_degree) + 8
     basis = [key for d in range(cap + img_degree + 1) for key in monomial_basis(pres, d)]
-    index = {key: n for n, key in enumerate(basis)}
+    index = {key: len(basis) - 1 - n for n, key in enumerate(basis)}  # highest degree first
     multipliers = [ring.one()]
     for a in range(1, cap + 1):
         multipliers += [ring.x(a), ring.y(a)]
@@ -175,3 +181,29 @@ def test_cokernel_rows_add_no_ring_product_to_the_well_definedness_check(monkeyp
     assert checked["mul"] > 0 and checked["specialize"] == 0
     assert counts["mul"] == checked["mul"]
     assert counts["specialize"] == 2 * len(gmap.images)
+
+
+def test_cokernel_length_reads_its_count_off_one_row_reduce(monkeypatch):
+    """One _linalg.row_reduce call, and no _linalg.extend_basis call outside it."""
+    gmap = power_map(NodeRing(FieldConfig(7, 1), 3), 3, 3, 1, 1, 2)
+    row_reduce, extend_basis = _linalg.row_reduce, _linalg.extend_basis
+    counts, inside = Counter(), []
+
+    def reducing(rows, p):
+        counts["row_reduce"] += 1
+        inside.append(True)
+        try:
+            return row_reduce(rows, p)
+        finally:
+            inside.pop()
+
+    def extending(pivots, row, p):
+        counts["extend_basis inside" if inside else "extend_basis outside"] += 1
+        return extend_basis(pivots, row, p)
+
+    monkeypatch.setattr(_linalg, "row_reduce", reducing)
+    monkeypatch.setattr(_linalg, "extend_basis", extending)
+    assert cokernel_length(gmap) == 2
+    assert counts["row_reduce"] == 1
+    assert counts["extend_basis inside"] > 0
+    assert counts["extend_basis outside"] == 0

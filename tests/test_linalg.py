@@ -57,6 +57,22 @@ def test_row_reduce_rank_matches_reference(rows):
     assert row_reduce(rows, P)[0] == _reference_rank(rows, P)
 
 
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_pivots_from_a_column_on_count_the_span_zero_before_it(rows):
+    """Pivots at columns >= c number dim(span(rows) & span(e_c..e_{N-1})).
+
+    That dimension is rank(rows) + (N - c) - rank(rows + e_c..e_{N-1}).
+    cokernel_length reads each degree's cokernel count off this identity.
+    """
+    n = len(rows[0])
+    rank = _reference_rank(rows, P)
+    _, pivots = row_reduce(rows, P)
+    for c in range(n + 1):
+        units = [[int(k == j) for k in range(n)] for j in range(c, n)]
+        assert sum(col >= c for col in pivots) == rank + (n - c) - _reference_rank(rows + units, P)
+
+
 def test_row_reduce_returns_echelon_rows():
     r, pivots = row_reduce([[0, 2, 4], [1, 1, 1], [1, 3, 5]], P)
     assert r == 2
