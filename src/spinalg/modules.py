@@ -29,9 +29,12 @@ unit coefficient needs no sum at all: _combine returns that key's image
 itself.
 
 Modules are interned and live for the whole process, so each builds its
-generator keys and generator elements once and hands out those same
-objects on every call.  Generators, images, ring units and zeros are all
-shared, so an element must never be altered in place.
+generator keys, generator elements and relations once and hands out
+those same objects on every call.  Generators, relations and their
+coefficients, images, ring units and zeros are all shared, so an element
+must never be altered in place.  Only the relations are shared, never a
+verdict: check_well_defined pushes every relation through the images on
+every call.
 """
 from __future__ import annotations
 
@@ -129,11 +132,13 @@ class ModulePresentation(Interned):
         e1 = ModuleElement(self, one, zero)
         return {1: e1} if self.is_free else {1: e1, 2: ModuleElement(self, zero, one)}
 
+    @cache
     def relations(self) -> tuple[tuple[tuple[RingElement, int], ...], ...]:
         """Presentation relations as linear combinations of generators.
 
-        The free module exposes a single effective generator, so it has
-        no relations left to check.
+        Built once per module, the same tuple on every call.  The free
+        module exposes a single effective generator, so it has no
+        relations left to check.
         """
         if self.is_free:
             return ()

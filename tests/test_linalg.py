@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinalg._linalg import extend_basis, row_reduce
@@ -27,11 +30,11 @@ def _reference_rank(rows: list[list[int]], p: int) -> int:
 
 
 @st.composite
-def matrices(draw):
-    """Random matrices mod 7, up to 6 x 6, with entries drawn from -10..10."""
+def matrices(draw, bound: int = 10):
+    """Random matrices mod 7, up to 6 x 6, with entries drawn from -bound..bound."""
     nrows = draw(st.integers(min_value=1, max_value=6))
     ncols = draw(st.integers(min_value=1, max_value=6))
-    entry = st.integers(min_value=-10, max_value=10)
+    entry = st.integers(min_value=-bound, max_value=bound)
     return [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
 
 
@@ -94,3 +97,36 @@ def test_extend_basis_adds_one_pivot_per_new_rank(rows, data):
         added += grew
     assert added == _reference_rank(rows, P) - prefix_rank
     assert all(row[col] == 1 and not any(row[:col]) for col, row in basis.items())
+
+
+@given(matrices(bound=3 * P))
+@settings(max_examples=300, deadline=None)
+def test_entries_reduced_as_read_give_the_pivots_of_rows_reduced_first(rows):
+    copies = [list(row) for row in rows]
+    reduced = [[c % P for c in row] for row in rows]
+    assert row_reduce(rows, P) == row_reduce(reduced, P)
+    assert rows == copies  # the caller's rows are left as they were
+    for col, prow in row_reduce(rows, P)[1].items():
+        assert all(0 <= c < P for c in prow) and prow[col] == 1 and not any(prow[:col])
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 2, 3], [1, 2]], "row of width 2 among rows of width 3"),
+    ([[1, 2], [1, 2, 3]], "row of width 3 among rows of width 2"),
+    ([[0, 0, 0], [1, 2]], "row of width 2 among rows of width 3"),
+])
+def test_row_reduce_refuses_rows_of_mismatched_width(rows, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        row_reduce(rows, 5)
+
+
+@pytest.mark.parametrize("row, message", [
+    ([1, 2], "row of width 2 against a basis of width 3"),  # would eliminate at column 0
+    ([0, 1, 2, 3], "row of width 4 against a basis of width 3"),  # would make a pivot
+    ([0, 0], "row of width 2 against a basis of width 3"),  # would be called in the span
+])
+def test_extend_basis_refuses_a_row_of_another_width(row, message):
+    basis = row_reduce([[1, 2, 3]], 5)[1]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        extend_basis(basis, row, 5)
+    assert basis == {0: [1, 2, 3]}

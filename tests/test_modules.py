@@ -204,6 +204,9 @@ def test_monomial_basis_shape():
     assert monomial_basis(m13, 2) == ((1, 2), (2, 2))
     free = make_module(r4, 0, 0)
     assert monomial_basis(free, 0) == ((1, 0),)
+    for pres in (free, m13):
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            monomial_basis(pres, -1)
 
 
 def test_cokernel_length_frozen_cases():
@@ -774,3 +777,124 @@ def test_apply_matches_the_term_by_term_expansion(case):
     pairs = gmap.source.coefficients(*elements)
     if len(pairs) == 1 and pairs[0][1] == 1:
         assert got is gmap.images[pairs[0][0]]
+
+
+# -- relations built once per module -------------------------------------
+
+
+def test_relations_are_built_once_and_read_by_every_source():
+    for l in (1, 3, 4):
+        for k in range(l):
+            pres = _module(97, l, k)
+            rels = pres.relations()
+            assert rels is pres.relations()
+            assert [rel for _, rel in LinearSource(pres).relations()] == list(rels)
+            # every source hands out the module's own coefficient objects
+            coeffs = {id(c) for rel in rels for c, _ in rel}
+            for source in (LinearSource(pres), TensorSource(pres, pres), SymPowerSource(pres, 3)):
+                assert all(id(c) in coeffs for _, rel in source.relations() for c, _ in rel)
+
+
+def test_check_well_defined_builds_no_relation_coefficient_and_checks_every_relation(monkeypatch):
+    import spinalg.modules as modules
+
+    r4 = ring(4)
+    a, b = make_module(r4, 1, 3), make_module(r4, 2, 2)
+    identity = GeneratorMap(LinearSource(a), a, {k: a.generator(k) for k in a.generator_keys})
+    maps = [identity, product_map(a, b), sym_power_map(a, 3), power_map(r4, 4, 4, 2, 1, 3)]
+    for gm in maps:
+        assert check_well_defined(gm) is None
+    built, combined = [], []
+    from_terms, combine = NodeRing.from_terms, modules._combine
+
+    def counting_from_terms(self, raw):
+        built.append(self)
+        return from_terms(self, raw)
+
+    def counting_combine(target, pairs, images):
+        combined.append(target)
+        return combine(target, pairs, images)
+
+    monkeypatch.setattr(NodeRing, "from_terms", counting_from_terms)
+    monkeypatch.setattr(modules, "_combine", counting_combine)
+    for gm in maps:
+        for _ in range(2):  # no verdict is kept: every relation is pushed through each time
+            del combined[:]
+            assert check_well_defined(gm) is None
+            assert len(combined) == len(gm.source.relations()) > 0
+    assert built == []
+
+
+# -- argument checks and printed forms -----------------------------------
+
+
+def test_elements_of_different_modules_do_not_add():
+    r4 = ring(4)
+    a, b = make_module(r4, 1, 3), make_module(r4, 2, 2)
+    for op in (lambda u, v: u + v, lambda u, v: u - v):
+        with pytest.raises(ValueError, match="^elements live in different modules$"):
+            op(a.generator(1), b.generator(1))
+
+
+def test_module_elements_refuse_a_non_ring_scalar():
+    e1 = make_module(ring(4), 1, 3).generator(1)
+    assert e1.__rmul__(1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        "t" * e1
+
+
+def test_equal_module_elements_hash_equal():
+    r4 = ring(4)
+    m13 = make_module(r4, 1, 3)
+    elem = m13.element(r4.y(), r4.x())
+    assert hash(elem) == hash((m13, elem.f, elem.g))
+    assert len({elem, m13.element(r4.y()) + m13.element(0, r4.x()), m13.zero(), m13.zero()}) == 2
+
+
+def test_zero_module_element_prints_as_zero():
+    r4 = ring(4)
+    for pres in (make_module(r4, 0, 0), make_module(r4, 1, 3)):
+        assert repr(pres.zero()) == "0"
+        assert repr(pres.generator(1) - pres.generator(1)) == "0"
+
+
+def test_sources_refuse_arguments_off_their_modules():
+    r4 = ring(4)
+    a, b = make_module(r4, 1, 3), make_module(r4, 2, 2)
+    with pytest.raises(ValueError, match="^argument lives off the source module$"):
+        LinearSource(a).coefficients(b.generator(1))
+    with pytest.raises(ValueError, match="^arguments live off the source modules$"):
+        TensorSource(a, b).coefficients(b.generator(1), b.generator(1))
+    with pytest.raises(ValueError, match="^arguments live off the source modules$"):
+        TensorSource(a, b).coefficients(a.generator(1), a.generator(1))
+    sym = SymPowerSource(a, 2)
+    for args in ((a.generator(1),), (a.generator(1),) * 3):
+        with pytest.raises(ValueError, match=r"^expected 2 arguments$"):
+            sym.coefficients(*args)
+    with pytest.raises(ValueError, match="^argument lives off the source module$"):
+        sym.coefficients(a.generator(1), b.generator(2))
+
+
+def test_generator_map_refuses_images_off_its_keys_or_target():
+    r4 = ring(4)
+    a, b = make_module(r4, 1, 3), make_module(r4, 2, 2)
+    with pytest.raises(ValueError, match=re.escape("images must cover exactly the keys (1, 2)")):
+        GeneratorMap(LinearSource(a), a, {1: a.generator(1)})
+    with pytest.raises(ValueError, match=re.escape("images must cover exactly the keys (1, 2)")):
+        GeneratorMap(LinearSource(a), a, {1: a.zero(), 2: a.zero(), 3: a.zero()})
+    with pytest.raises(ValueError, match="^image for 2 lives off the target module$"):
+        GeneratorMap(LinearSource(a), a, {1: a.generator(1), 2: b.generator(2)})
+
+
+def test_relation_violation_prints_its_relation_and_defect():
+    r4 = ring(4)
+    a, b = make_module(r4, 1, 3), make_module(r4, 2, 2)
+    gm = product_map(a, b)
+    bad = dict(gm.images)
+    bad[(1, 2)], bad[(2, 1)] = bad[(2, 1)], bad[(1, 2)]
+    broken = GeneratorMap(TensorSource(a, b), gm.target, bad)
+    violation = check_well_defined(broken)
+    assert repr(violation) == "RelationViolation(left relation 0 x gen 1: defect (96*t^2 + t^3)*e1)"
+    with pytest.raises(ValueError) as info:
+        cokernel_length(broken)
+    assert str(info.value) == f"map is not well defined: {violation!r}"
